@@ -32,6 +32,12 @@ of k + 1 copies of CP^2 and every prime gets one divisor per chart:
 
 verify_roundtrip closes the loop: the rebuilt invariants of build(cls)
 must equal the requested class exactly.
+
+enumerate_admissible builds its candidates instead of filtering all torsion
+groups: realizable torsion is A + A or A + A + Z/2, so the halves A with
+|A| <= isqrt(N) give every profile that can pass, once for all k.  The
+admissibility gate still decides each candidate, and build gates again.
+Bounds below their minimum (N < 1, k < 0) raise ValueError.
 """
 
 from __future__ import annotations
@@ -268,6 +274,25 @@ def _torsion_profiles(max_order: int) -> Iterator[dict[tuple[int, int], int]]:
         yield counts
 
 
+def _realizable_profiles(max_order: int) -> list[dict[tuple[int, int], int]]:
+    """The torsion count maps of the forms A + A and A + A + Z/2 with order
+    <= max_order, in (order, canonical encoding) order.
+
+    These are exactly the profiles `smale_barden_realizable` accepts for
+    some i, so every other profile fails the gate for every k and i.  Both
+    forms need |A| <= isqrt(max_order); A + A then fits automatically.
+    """
+    profiles: list[tuple[int, dict[tuple[int, int], int]]] = []
+    for half in _torsion_profiles(math.isqrt(max_order)):
+        doubled = {key: 2 * c for key, c in half.items()}
+        order = math.prod((p ** e) ** c for (p, e), c in doubled.items())
+        profiles.append((order, doubled))
+        if 2 * order <= max_order:
+            profiles.append((2 * order, {**doubled, (2, 1): doubled.get((2, 1), 0) + 1}))
+    profiles.sort(key=lambda item: (item[0], tuple(sorted(item[1].items()))))
+    return [counts for _, counts in profiles]
+
+
 def enumerate_admissible(
     max_torsion_order: int, max_k: int
 ) -> Iterator[tuple[FiveManifoldClass, SeifertSpec]]:
@@ -276,9 +301,22 @@ def enumerate_admissible(
 
     Output order is (k, torsion order, canonical torsion encoding, i) with
     INFINITY sorting after the finite values.
+
+    Candidates are built from halves: torsion A + A or A + A + Z/2 with
+    |A| <= isqrt(max_torsion_order), generated once for all k.  That skips
+    only profiles no (k, i) makes realizable; every candidate still passes
+    `circle_action_admissible`, which alone decides, and `build` gates again.
+
+    Raises ValueError, when iteration starts, if max_torsion_order < 1
+    (the trivial group already has order 1) or max_k < 0.
     """
+    if max_torsion_order < 1:
+        raise ValueError(f"max torsion order must be >= 1, got {max_torsion_order}")
+    if max_k < 0:
+        raise ValueError(f"max k must be >= 0, got {max_k}")
+    profiles = _realizable_profiles(max_torsion_order)
     for k in range(max_k + 1):
-        for counts in _torsion_profiles(max_torsion_order):
+        for counts in profiles:
             group = AbelianGroup.from_counts(k, counts)
             for i in (0, 1, INFINITY):
                 cls = FiveManifoldClass(group, i)

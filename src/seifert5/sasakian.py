@@ -250,6 +250,15 @@ def quadratic_cover_search(
 
     pool = vs[: max_exceptions + 3]
 
+    # Candidate arguments t with t | w, per difference w; each list is
+    # built once per call because every i2 reuses the i3 differences.
+    signed_divisors: dict[int, list[int]] = {}
+
+    def arguments(w: int) -> list[int]:
+        if w not in signed_divisors:
+            signed_divisors[w] = [t for d in _divisors(w) for t in (d, -d)]
+        return signed_divisors[w]
+
     # One- and two-point families guarantee witnesses for small inputs.
     for v in pool:
         consider(Quadratic(1, 0, v))
@@ -261,10 +270,10 @@ def quadratic_cover_search(
         v1 = pool[i1]
         for i2 in range(i1 + 1, len(pool)):
             w2 = pool[i2] - v1
-            t2_choices = [t for d in _divisors(w2) for t in (d, -d)]
+            t2_choices = arguments(w2)
             for i3 in range(i2 + 1, len(pool)):
                 w3 = pool[i3] - v1
-                t3_choices = [t for d in _divisors(w3) for t in (d, -d)]
+                t3_choices = arguments(w3)
                 for t2 in t2_choices:
                     for t3 in t3_choices:
                         if t3 == t2:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -244,6 +245,23 @@ class TestEnumerate:
                 order *= (t["p"] ** t["e"]) ** t["count"]
             keys.append((cls["free_rank"], order, json.dumps(cls["torsion"]), i_key))
         assert keys == sorted(keys)
+
+    def test_golden_stream(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "--max-torsion-order", "4096", "--max-k", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 886
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "527f05e2f633ff1bda068f4e8ba9300f619f38c126bf1911874112889104a80a"
+        )
+
+    def test_bounds_below_minimum_exit_two(self, capsys):
+        for bounds in (["0", "2"], ["-5", "1"], ["4", "-1"]):
+            code, out, err = run_cli(
+                capsys, "enumerate", "--max-torsion-order", bounds[0], "--max-k", bounds[1]
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -4,9 +4,16 @@ import random
 import pytest
 
 from seifert5.abgroup import AbelianGroup
-from seifert5.classify import INFINITY, FiveManifoldClass, circle_action_admissible
+from seifert5.classify import (
+    INFINITY,
+    FiveManifoldClass,
+    circle_action_admissible,
+    smale_barden_realizable,
+)
 from seifert5.construct import (
     GateRejection,
+    _realizable_profiles,
+    _torsion_profiles,
     build,
     enumerate_admissible,
     schedule,
@@ -16,6 +23,8 @@ from seifert5.construct import (
     verify_roundtrip,
 )
 from seifert5.seifert import chern_mu
+
+from oracles import enumerate_admissible_by_filter
 
 
 def cls_of(k, counts, i):
@@ -218,3 +227,25 @@ class TestEnumerate:
         assert (((2, 1, 2),), 1) in classes
         for torsion, i in classes:
             assert i is not INFINITY  # k = 0 cannot carry i = INFINITY
+
+    @pytest.mark.parametrize("max_order, max_k", [(1, 0), (2, 0), (9, 1), (64, 3), (1024, 2)])
+    def test_matches_generate_and_filter_oracle(self, max_order, max_k):
+        assert list(enumerate_admissible(max_order, max_k)) == list(
+            enumerate_admissible_by_filter(max_order, max_k)
+        )
+
+    def test_omitted_profiles_are_unrealizable(self):
+        n = 1024
+        every = {tuple(sorted(counts.items())): counts for counts in _torsion_profiles(n)}
+        kept = {tuple(sorted(counts.items())) for counts in _realizable_profiles(n)}
+        assert kept <= set(every)
+        for key in set(every) - kept:
+            for k in range(3):
+                group = AbelianGroup.from_counts(k, every[key])
+                for i in (0, 1, INFINITY):
+                    assert not smale_barden_realizable(FiveManifoldClass(group, i)), (key, k, i)
+
+    @pytest.mark.parametrize("max_order, max_k", [(0, 2), (-5, 1), (4, -1)])
+    def test_rejects_bounds_below_minimum(self, max_order, max_k):
+        with pytest.raises(ValueError, match="must be >="):
+            list(enumerate_admissible(max_order, max_k))

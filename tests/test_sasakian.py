@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from seifert5 import sasakian
 from seifert5.sasakian import (
     DensityViolation,
     InconclusiveSearch,
@@ -116,6 +117,20 @@ class TestCoverSearch:
         values = [t * t for t in range(1, 8)] + [3, 7]
         q, exceptions = quadratic_cover_search(values, max_exceptions=2)
         assert len(exceptions) <= 2
+
+    def test_divisors_computed_once_per_difference(self, monkeypatch):
+        calls = []
+        divisors = sasakian._divisors
+
+        def spy(n):
+            calls.append(n)
+            return divisors(n)
+
+        monkeypatch.setattr(sasakian, "_divisors", spy)
+        # 13 values fill the pool, so every difference recurs across i2
+        quadratic_cover_search([2, 3, 5, 11, 17, 29, 41, 59, 71, 97, 101, 131, 151])
+        assert calls
+        assert len(calls) == len(set(calls))
 
     def test_completeness_against_brute_force(self):
         # Small-range brute force over all quadratics with bounded
