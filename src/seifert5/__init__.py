@@ -63,7 +63,6 @@ from .sasakian import (
     adjunction_genus,
     interval_density_check,
     quadratic_cover_search,
-    quadratic_interval_count,
     sasaki_check,
 )
 from .seifert import (

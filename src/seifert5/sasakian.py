@@ -25,11 +25,15 @@ be shifted to attain its smallest covered value v1 at t = 0, forcing
 c = v1.  A witness misses at most `budget` values, hence covers at least
 three of the `budget + 3` smallest (pigeonhole), say v1 < v2 < v3 with
 arguments 0, t2, t3.  From q(t) - q(0) = t*(a*t + b) the argument t2
-divides v2 - v1 and t3 divides v3 - v1, so the triples (0, v1), (t2, v2),
-(t3, v3) range over a finite set, and Lagrange interpolation through each
-recovers every possible witness.  Candidates that interpolate to
-non-integer or non-positive leading coefficients are discarded; the rest
-are scored by how many values they miss.  Small inputs (fewer than
+divides w2 = v2 - v1 and t3 divides w3 = v3 - v1, so the triples (0, v1),
+(t2, v2), (t3, v3) range over a finite set, and interpolation through each
+recovers every possible witness.  Writing w2 = t2*s2 and w3 = t3*s3, the
+same identity gives s2 = a*t2 + b and s3 = a*t3 + b: the interpolation is
+the line through (t2, s2) and (t3, s3), with slope a = (s2 - s3)/(t2 - t3)
+and b = s2 - a*t2.  So b is an integer whenever a is, and the one
+divisibility test (t2 - t3) | (s2 - s3) decides each divisor pair.
+Pairs whose slope is not a positive integer are discarded; the rest are
+scored by how many values they miss.  Small inputs (fewer than
 budget + 3 distinct values) are additionally seeded with the one- and
 two-point families q = (v2 - v1)*t^2 + v1 and q = t^2 + v1, which always
 exist.  All checks are exact integer arithmetic; the bound comparisons
@@ -42,6 +46,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .abgroup import factorize
+
 __all__ = [
     "MAX_EXCEPTIONAL_VALUES",
     "DEFAULT_CANDIDATE_CAP",
@@ -50,7 +56,6 @@ __all__ = [
     "SasakiReport",
     "InconclusiveSearch",
     "interval_density_check",
-    "quadratic_interval_count",
     "quadratic_cover_search",
     "adjunction_genus",
     "sasaki_check",
@@ -71,6 +76,29 @@ class InconclusiveSearch(RuntimeError):
         super().__init__(f"search inconclusive after {candidates_tried} candidates")
 
 
+def _missed(a: int, b: int, c: int, values: Iterable[int], budget: int) -> Optional[list[int]]:
+    """The values, in the given order, that a*t^2 + b*t + c (a >= 1) takes
+    at no integer t, or None once more than budget of them are missed.
+
+    v is taken iff the discriminant b^2 - 4a(c - v) is a perfect square r^2
+    and 2a divides -b + r or -b - r.
+    """
+    two_a = 2 * a
+    four_a = 4 * a
+    bb = b * b
+    missed = []
+    for v in values:
+        disc = bb - four_a * (c - v)
+        if disc >= 0:
+            root = math.isqrt(disc)
+            if root * root == disc and ((root - b) % two_a == 0 or (root + b) % two_a == 0):
+                continue
+        missed.append(v)
+        if len(missed) > budget:
+            return None
+    return missed
+
+
 @dataclass(frozen=True)
 class Quadratic:
     """q(t) = a*t^2 + b*t + c with integer coefficients and a >= 1."""
@@ -88,14 +116,7 @@ class Quadratic:
 
     def contains(self, v: int) -> bool:
         """Is v = q(t) for some integer t?  Exact discriminant test."""
-        disc = self.b * self.b - 4 * self.a * (self.c - v)
-        if disc < 0:
-            return False
-        root = math.isqrt(disc)
-        if root * root != disc:
-            return False
-        two_a = 2 * self.a
-        return (-self.b + root) % two_a == 0 or (-self.b - root) % two_a == 0
+        return _missed(self.a, self.b, self.c, (v,), 0) is not None
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c}
@@ -149,52 +170,34 @@ def interval_density_check(values: Iterable[int]) -> Optional[DensityViolation]:
     return None
 
 
-def quadratic_interval_count(q: Quadratic, lo: int, hi: int) -> int:
-    """|q(Z) intersect [lo, hi]|, by enumerating the bounded preimage.
-
-    Also asserts the count law: at most 2 + 2*sqrt((hi - lo)/a) values.
-    """
-    if lo > hi:
-        raise ValueError("empty interval")
-    # q(t) <= hi has integer solutions only within the real root interval.
-    disc = q.b * q.b - 4 * q.a * (q.c - hi)
-    if disc < 0:
-        return 0
-    spread = math.isqrt(disc) + 1
-    t_lo = (-q.b - spread) // (2 * q.a) - 1
-    t_hi = (-q.b + spread) // (2 * q.a) + 1
-    values = {q(t) for t in range(t_lo, t_hi + 1) if lo <= q(t) <= hi}
-    count = len(values)
-    assert count <= 2 or q.a * (count - 2) ** 2 <= 4 * (hi - lo), (
-        f"count law violated by {q} on [{lo}, {hi}]"
-    )
-    return count
-
-
 def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
+    """Positive divisors of n >= 1 in ascending order, from its factorization."""
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
-def _interpolate(t2: int, v1: int, w2: int, t3: int, w3: int) -> Optional[Quadratic]:
-    """Quadratic through (0, v1), (t2, v1 + w2), (t3, v1 + w3), if integral
-    with positive leading coefficient."""
-    det = t2 * t3 * (t2 - t3)
-    a_num = w2 * t3 - w3 * t2
-    if a_num % det != 0:
-        return None
-    a = a_num // det
+def _interpolate(t2: int, s2: int, t3: int, s3: int) -> Optional[tuple[int, int]]:
+    """(a, b) of the quadratic a*t^2 + b*t + v1 through (0, v1),
+    (t2, v1 + t2*s2) and (t3, v1 + t3*s3), if a >= 1.
+
+    Requires t2 - t3 to divide s2 - s3, which the caller tests first: then
+    s = a*t + b at both arguments makes a the integer slope and b integral.
+    """
+    a = (s2 - s3) // (t2 - t3)
     if a < 1:
         return None
-    b_num = w2 - a * t2 * t2
-    if b_num % t2 != 0:
-        return None
-    return Quadratic(a, b_num // t2, v1)
+    return a, s2 - a * t2
+
+
+def _check_limits(max_exceptions: int, max_candidates: int) -> None:
+    # A negative budget would shrink the pool below the three values the
+    # completeness argument needs; a cap must admit at least one candidate.
+    if max_exceptions < 0:
+        raise ValueError(f"max_exceptions must be >= 0, got {max_exceptions}")
+    if max_candidates < 1:
+        raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
 
 
 def quadratic_cover_search(
@@ -208,89 +211,101 @@ def quadratic_cover_search(
     Returns (witness, missed values) or None when the complete candidate
     space holds no witness.  Among witnesses the reported one minimizes
     (number of exceptions, a, |b|, b, c), which keeps the output stable.
-    Raises InconclusiveSearch if the candidate cap is hit first.
+    Raises InconclusiveSearch if the candidate cap is hit before any witness
+    was found; a witness found before the cap is still valid but need not
+    minimize the key, and is returned.
+    Raises ValueError if max_exceptions < 0 or max_candidates < 1.
 
     >>> q, exc = quadratic_cover_search([(i - 1) * (i - 2) for i in range(3, 13)])
     >>> (q.a, q.b, q.c), sorted(exc)
     ((1, -3, 2), [])
     """
-    vs = sorted(set(values))
+    _check_limits(max_exceptions, max_candidates)
+    return _cover_search(sorted(set(values)), max_exceptions, max_candidates)[0]
+
+
+def _cover_search(
+    vs: list[int], max_exceptions: int, max_candidates: int
+) -> tuple[Optional[tuple[Quadratic, frozenset[int]]], bool]:
+    """The search of quadratic_cover_search over sorted distinct values vs,
+    with limits already checked.  Returns (result, complete): complete is
+    false when the cap cut the search short after a witness was found.
+    """
     if not vs:
-        return Quadratic(1, 0, 0), frozenset()
+        return (Quadratic(1, 0, 0), frozenset()), True
 
     # Scan from the largest value down: bad candidates run out of budget fast.
-    scan = list(reversed(vs))
+    scan = vs[::-1]
 
-    def misses(q: Quadratic) -> Optional[frozenset[int]]:
-        missed = []
-        for v in scan:
-            if not q.contains(v):
-                missed.append(v)
-                if len(missed) > max_exceptions:
-                    return None
-        return frozenset(missed)
-
-    best: Optional[tuple[tuple[int, int, int, int], Quadratic, frozenset[int]]] = None
+    # best = (score, missed); the score (exceptions, a, |b|, b, c) names
+    # the quadratic, which is built only for the returned witness.
+    best: Optional[tuple[tuple[int, int, int, int, int], list[int]]] = None
     seen: set[tuple[int, int, int]] = set()
     tried = 0
 
-    def consider(q: Quadratic) -> None:
+    def consider(a: int, b: int, c: int) -> None:
         nonlocal best, tried
-        key3 = (q.a, q.b, q.c)
+        key3 = (a, b, c)
         if key3 in seen:
             return
         seen.add(key3)
         tried += 1
-        missed = misses(q)
+        # A candidate missing more values than the best so far cannot win.
+        budget = max_exceptions if best is None else best[0][0]
+        missed = _missed(a, b, c, scan, budget)
         if missed is None:
             return
-        score = (len(missed), q.a, abs(q.b), q.b, q.c)
+        score = (len(missed), a, abs(b), b, c)
         if best is None or score < best[0]:
-            best = (score, q, missed)
+            best = (score, missed)
+
+    def result() -> tuple[Quadratic, frozenset[int]]:
+        (_, a, _, b, c), missed = best
+        return Quadratic(a, b, c), frozenset(missed)
 
     pool = vs[: max_exceptions + 3]
 
-    # Candidate arguments t with t | w, per difference w; each list is
-    # built once per call because every i2 reuses the i3 differences.
-    signed_divisors: dict[int, list[int]] = {}
+    # Pairs (t, w // t) for the signed divisors t of a difference w, in the
+    # order d, -d by ascending d; each list is built once per call because
+    # every i2 reuses the i3 differences.
+    divisor_pairs: dict[int, list[tuple[int, int]]] = {}
 
-    def arguments(w: int) -> list[int]:
-        if w not in signed_divisors:
-            signed_divisors[w] = [t for d in _divisors(w) for t in (d, -d)]
-        return signed_divisors[w]
+    def pairs(w: int) -> list[tuple[int, int]]:
+        if w not in divisor_pairs:
+            divisor_pairs[w] = [(t, w // t) for d in _divisors(w) for t in (d, -d)]
+        return divisor_pairs[w]
 
     # One- and two-point families guarantee witnesses for small inputs.
     for v in pool:
-        consider(Quadratic(1, 0, v))
+        consider(1, 0, v)
     for i1 in range(len(pool)):
         for i2 in range(i1 + 1, len(pool)):
-            consider(Quadratic(pool[i2] - pool[i1], 0, pool[i1]))
+            consider(pool[i2] - pool[i1], 0, pool[i1])
 
     for i1 in range(len(pool)):
         v1 = pool[i1]
         for i2 in range(i1 + 1, len(pool)):
-            w2 = pool[i2] - v1
-            t2_choices = arguments(w2)
+            pairs2 = pairs(pool[i2] - v1)
             for i3 in range(i2 + 1, len(pool)):
-                w3 = pool[i3] - v1
-                t3_choices = arguments(w3)
-                for t2 in t2_choices:
-                    for t3 in t3_choices:
+                pairs3 = pairs(pool[i3] - v1)
+                for t2, s2 in pairs2:
+                    for t3, s3 in pairs3:
                         if t3 == t2:
                             continue
                         if tried >= max_candidates:
-                            if best is not None and best[0][0] <= max_exceptions:
-                                # A found witness stays valid; only the
-                                # infeasible verdict needs exhaustion.
-                                return best[1], best[2]
-                            raise InconclusiveSearch(tried)
-                        q = _interpolate(t2, v1, w2, t3, w3)
-                        if q is not None:
-                            consider(q)
+                            if best is None:
+                                raise InconclusiveSearch(tried)
+                            # A found witness stays valid; only the
+                            # infeasible verdict needs exhaustion.
+                            return result(), False
+                        # w = t*s at both arguments, so a is the slope
+                        # (s2 - s3) / (t2 - t3); most pairs fail this test.
+                        if (s2 - s3) % (t2 - t3) == 0:
+                            ab = _interpolate(t2, s2, t3, s3)
+                            if ab is not None:
+                                consider(ab[0], ab[1], v1)
 
-    if best is None:
-        return None
-    return best[1], best[2]
+    return (None if best is None else result()), True
 
 
 def adjunction_genus(degree: int) -> int:
@@ -341,11 +356,14 @@ def sasaki_check(
     max_candidates: int = DEFAULT_CANDIDATE_CAP,
 ) -> SasakiReport:
     """Run the density check, then the coverage search, over the distinct
-    values of the multiset.  Dropped duplicates are flagged in the report.
+    values of the multiset.  Dropped duplicates are flagged in the report,
+    and search_complete is false when the candidate cap cut the search
+    short after a witness was found.
 
     >>> sasaki_check([2, 6, 12]).feasible
     True
     """
+    _check_limits(max_exceptions, max_candidates)
     values = list(values)
     if any(v < 1 for v in values):
         raise ValueError("torsion counts must be positive")
@@ -361,7 +379,7 @@ def sasaki_check(
             duplicates_dropped=duplicates,
             search_complete=False,
         )
-    found = quadratic_cover_search(distinct, max_exceptions, max_candidates)
+    found, complete = _cover_search(distinct, max_exceptions, max_candidates)
     if found is None:
         return SasakiReport(
             feasible=False,
@@ -378,5 +396,5 @@ def sasaki_check(
         exceptions=exceptions,
         densest_violation=None,
         duplicates_dropped=duplicates,
-        search_complete=True,
+        search_complete=complete,
     )

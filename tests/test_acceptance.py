@@ -28,8 +28,10 @@ from seifert5.classify import (
 from seifert5.cohomology import INDETERMINATE, h1_order, restriction_matrix
 from seifert5.construct import solve_unit_congruence, verify_roundtrip
 from seifert5.orbit_local import StabilizerRep, local_invariants
-from seifert5.sasakian import Quadratic, quadratic_interval_count, sasaki_check
+from seifert5.sasakian import Quadratic, sasaki_check
 from seifert5.seifert import Divisor, Orientable, SeifertSpec
+
+from oracles import quadratic_interval_count
 
 
 @contextmanager

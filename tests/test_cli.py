@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from seifert5.cli import main
 
 
@@ -221,6 +223,35 @@ class TestSasaki:
             "--max-candidates", "5",
         )
         assert code == 3
+
+    def test_capped_witness_is_not_complete(self, capsys):
+        # the cap stops the search after t^2 + 5 was found; it covers all
+        # but four values, but the complete search prefers 12t^2 - 5t + 3
+        code, out, _ = run_cli(
+            capsys, "sasaki", "--values", "3,5,10,20,37,41", "--max-candidates", "1"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["feasible"] is True
+        assert doc["witness"] == {"a": 1, "b": 0, "c": 5}
+        assert doc["exceptions"] == [3, 10, 20, 37]
+        assert doc["search_complete"] is False
+        code, out, _ = run_cli(capsys, "sasaki", "--values", "3,5,10,20,37,41")
+        doc = json.loads(out)
+        assert doc["witness"] == {"a": 12, "b": -5, "c": 3}
+        assert doc["search_complete"] is True
+
+    @pytest.mark.parametrize("limit", [
+        ("--max-exceptions", "-1"),
+        ("--max-candidates", "0"),
+        ("--max-candidates", "-1"),
+    ])
+    def test_invalid_limits_exit_two(self, capsys, limit):
+        # --max-exceptions -1 used to answer a complete "no" with exit 1
+        code, out, err = run_cli(capsys, "sasaki", "--values", "1,4,11,22", *limit)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
 class TestEnumerate:

@@ -10,8 +10,13 @@ from seifert5.sasakian import (
     adjunction_genus,
     interval_density_check,
     quadratic_cover_search,
-    quadratic_interval_count,
     sasaki_check,
+)
+
+from oracles import (
+    divisors_by_trial_division,
+    quadratic_cover_search_reference,
+    quadratic_interval_count,
 )
 
 
@@ -31,6 +36,16 @@ class TestQuadratic:
                     assert q.contains(v)
             for v in list(image)[:20]:
                 assert q.contains(v)
+
+    def test_membership_is_exact_below_the_window_edge(self):
+        # Every value below min(q(-30), q(30)) that q takes is taken at some
+        # |t| <= 30, so membership there must agree with the image exactly.
+        rng = random.Random(97)
+        for _ in range(60):
+            q = Quadratic(rng.randint(1, 5), rng.randint(-10, 10), rng.randint(-20, 20))
+            image = {q(t) for t in range(-30, 31)}
+            for v in range(min(image) - 30, min(q(-30), q(30))):
+                assert q.contains(v) == (v in image), (q, v)
 
     def test_requires_positive_leading(self):
         with pytest.raises(ValueError):
@@ -111,6 +126,28 @@ class TestCoverSearch:
         # plenty of candidates, but a perfect witness appears early
         q, exceptions = quadratic_cover_search(degree_family(10), max_candidates=400)
         assert all(q.contains(v) for v in degree_family(10))
+        # the report keeps the witness but does not claim exhaustion
+        report = sasaki_check(degree_family(10), max_candidates=400)
+        assert report.feasible
+        assert (report.witness, report.exceptions) == (q, exceptions)
+        assert not report.search_complete
+        assert sasaki_check(degree_family(10)).search_complete
+
+    @pytest.mark.parametrize("limits", [
+        {"max_exceptions": -1},
+        {"max_exceptions": -5},
+        {"max_candidates": 0},
+        {"max_candidates": -1},
+    ])
+    def test_invalid_limits_are_refused(self, limits):
+        # a budget of -1 used to shrink the pool to two values and report a
+        # complete "no" for 1, 4, 11, 22, which 2t^2 - t + 1 covers
+        for values in ([1, 4, 11, 22], [], range(2, 61, 2)):
+            with pytest.raises(ValueError):
+                quadratic_cover_search(values, **limits)
+            with pytest.raises(ValueError):
+                sasaki_check(values, **limits)
+        assert quadratic_cover_search([1, 4, 11, 22], max_exceptions=0)[0] == Quadratic(2, -1, 1)
 
     def test_exceptions_counted(self):
         # squares plus two alien values
@@ -131,6 +168,43 @@ class TestCoverSearch:
         quadratic_cover_search([2, 3, 5, 11, 17, 29, 41, 59, 71, 97, 101, 131, 151])
         assert calls
         assert len(calls) == len(set(calls))
+
+    def test_divisors_match_brute_force(self):
+        rng = random.Random(101)
+        primes = [2, 3, 5, 7, 97, 65537, 999_983, 1_000_000_007]
+        small = list(range(1, 200)) + [p for p in primes if p < 10**6]
+        for n in small:
+            assert sasakian._divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+        large = primes + [p * p for p in primes if p * p <= 10**18]
+        large += [2**29, 3**18, 720720, 735134400]
+        large += [rng.randint(1, 10**9) for _ in range(40)]
+        for n in large:
+            assert sasakian._divisors(n) == divisors_by_trial_division(n), n
+
+    def test_matches_reference_search(self):
+        # Same witness, exceptions, None or InconclusiveSearch count as the
+        # search that interpolated on bare divisors, under every cap.
+        rng = random.Random(103)
+        value_sets = [
+            sorted(rng.sample(range(1, hi), rng.randint(1, 9)))
+            for hi in (12, 40, 200, 5000) for _ in range(8)
+        ]
+        value_sets += [sorted(rng.sample(range(1, 10**9), n)) for n in (8, 11, 16)]
+        value_sets.append(degree_family(14) + [7, 1000])
+
+        def outcome(search, values, budget, cap):
+            kw = {} if cap is None else {"max_candidates": cap}
+            try:
+                return search(values, max_exceptions=budget, **kw)
+            except InconclusiveSearch as exc:
+                return ("inconclusive", exc.candidates_tried)
+
+        for values in value_sets:
+            for budget in (0, 2, 10):
+                for cap in (1, 7, 300, None):
+                    got = outcome(quadratic_cover_search, values, budget, cap)
+                    want = outcome(quadratic_cover_search_reference, values, budget, cap)
+                    assert got == want, (values, budget, cap)
 
     def test_completeness_against_brute_force(self):
         # Small-range brute force over all quadratics with bounded
@@ -208,6 +282,16 @@ class TestSasakiCheck:
         if not report.feasible:
             assert report.search_complete
             assert report.densest_violation is None
+
+    def test_sixteen_random_values_below_10_12(self):
+        # random.Random(0) draws; no quadratic covers all but ten of them
+        rng = random.Random(0)
+        values = [rng.randint(1, 10**12) for _ in range(16)]
+        report = sasaki_check(values)
+        assert not report.feasible
+        assert report.search_complete
+        assert report.densest_violation is None
+        assert report.witness is None and report.exceptions is None
 
     def test_witness_revalidation_after_adding_value(self):
         # adding a covered value keeps the witness valid; adding an alien
