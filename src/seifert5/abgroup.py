@@ -2,8 +2,8 @@
 
 This is the substrate for the whole package: integer matrices with
 arbitrary-precision entries, Smith normal form with tracked unimodular
-transforms, and groups presented as a free rank plus prime-power torsion
-counts.  A group
+transforms, primality and factorization, and groups presented as a free
+rank plus prime-power torsion counts.  A group
 
     Z^k  +  sum over (p, e) of (Z/p^e)^count
 
@@ -33,18 +33,54 @@ __all__ = [
 ]
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality check by trial division.
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
 
-    >>> [k for k in range(20) if is_prime(k)]
-    [2, 3, 5, 7, 11, 13, 17, 19]
+
+# Trial division by the primes below 1000 decides primality for every
+# n < 1009**2, since 1009 is the next prime.
+_SMALL_PRIMES = _primes_below(1000)
+_SMALL_LIMIT = 1009 ** 2
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_strong_probable_prime(n: int, d: int, s: int, a: int) -> bool:
+    """Miller-Rabin round for base a, with n - 1 = d * 2**s and d odd."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_prime_rough(n: int) -> bool:
+    """Primality of an n > 1 with no prime factor p < 1000, p**2 <= n.
+
+    Below 1009**2 such an n is prime; below 3.3 * 10**24 deterministic
+    Miller-Rabin decides; beyond that bound, where no base set is proven,
+    the answer comes from trial division.
     """
-    if n < 2:
-        return False
-    for p in (2, 3):
-        if n % p == 0:
-            return n == p
-    f = 5
+    if n < _SMALL_LIMIT:
+        return True
+    if n < _MR_LIMIT:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        return all(_is_strong_probable_prime(n, d, s, a) for a in _MR_BASES)
+    f = 1001  # the first 6j - 1 above the small primes
     while f * f <= n:
         if n % f == 0 or n % (f + 2) == 0:
             return False
@@ -52,34 +88,93 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, returned as an exponent map.
+def is_prime(n: int) -> bool:
+    """Deterministic primality check.
 
-    The moduli appearing in this package are small (products of fiber
-    multiplicities), so trial division is the right tool.
+    Trial division by the primes below 1000 (stopping at p**2 > n) decides
+    every n below 10**6; larger n go to deterministic Miller-Rabin, which
+    is exact below 3.3 * 10**24, and to trial division above that.
+
+    >>> [k for k in range(20) if is_prime(k)]
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    >>> is_prime(3215031751), is_prime(1_000_000_007)
+    (False, True)
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return n == p
+    return _is_prime_rough(n)
+
+
+def _brent(n: int, c: int) -> int:
+    """Pollard rho in Brent's variant on x -> x**2 + c mod n, from x = 2.
+
+    Returns a divisor of the composite n, which is n itself when this c
+    fails.
+    """
+    y, r, g = 2, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+            if g != 1:
+                break
+        r *= 2
+    return g
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization as an exponent map sorted by prime.
+
+    The primes below 1000 are divided out first, stopping at p**2 > n; a
+    composite cofactor left over has only large prime factors and is split
+    by Pollard rho (Brent's variant, constants c = 1, 2, ... in turn), each
+    part tested with the same deterministic primality check as `is_prime`.
 
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
     >>> factorize(1)
     {}
+    >>> factorize(1_000_000_007 * 998_244_353)
+    {998244353: 1, 1000000007: 1}
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
             while n % p == 0:
-                out[p] = out.get(p, 0) + 1
                 n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+                e += 1
+            out[p] = e
+    # The cofactor has no prime factor p < 1000 with p**2 <= n.
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime_rough(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        c, d = 1, m
+        while d == m:
+            d = _brent(m, c)
+            c += 1
+        stack += [d, m // d]
     return dict(sorted(out.items()))
+
+
+def _json_int(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """A decoded JSON integer: an int and not a bool (JSON true/false)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def crt(residues: Iterable[int], moduli: Iterable[int]) -> int:
@@ -119,14 +214,6 @@ class IntMatrix:
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -135,47 +222,12 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.entries))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[-1][-1]
-
 
 def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize A over Z: returns (U, D, V) with U @ A @ V == D.
+    """Diagonalize A over Z: returns (U, D, V) with U A V = D.
 
     U and V are unimodular and D is diagonal with d_1 | d_2 | ... and
     d_i >= 0.  The pivot is always the nonzero entry of smallest absolute
@@ -405,9 +457,9 @@ class AbelianGroup:
             bad = set(entry) - {"p", "e", "count"}
             if bad:
                 raise ValueError(f"unknown torsion field {sorted(bad)[0]!r}")
-            key = (entry["p"], entry["e"])
-            counts[key] = counts.get(key, 0) + entry["count"]
-        return cls.from_counts(data.get("free_rank", 0), counts)
+            key = (_json_int(entry["p"], "torsion p"), _json_int(entry["e"], "torsion e"))
+            counts[key] = counts.get(key, 0) + _json_int(entry["count"], "torsion count")
+        return cls.from_counts(_json_int(data.get("free_rank", 0), "free_rank"), counts)
 
     def __str__(self) -> str:
         parts = []

@@ -23,7 +23,7 @@ from .classify import (
     smale_barden_realizable,
     validate_i,
 )
-from .cohomology import Indeterminate, UnknownNonzero, full_report
+from .cohomology import Indeterminate, compare, full_report
 from .construct import GateRejection, build, enumerate_admissible, verify_roundtrip
 from .orbit_local import StabilizerRep, local_invariants
 from .sasakian import (
@@ -135,43 +135,16 @@ def _cmd_verify(args) -> int:
         return EXIT_YES
 
     expected = FiveManifoldClass.from_json_dict(_parse_json(_read_input(args.expect)))
-    diffs = []
-    mismatch = False
-    undecided = False
-    if isinstance(report.h1_order, UnknownNonzero):
-        undecided = True
-        diffs.append({"field": "h1_order", "expected": 1, "actual": "unknown_nonzero"})
-    elif report.h1_order != 1:
-        mismatch = True
-        diffs.append({"field": "h1_order", "expected": 1, "actual": report.h1_order})
-    if report.h2 is not None and report.h2 != expected.h2:
-        mismatch = True
-        diffs.append(
-            {
-                "field": "h2",
-                "expected": expected.h2.to_json_dict(),
-                "actual": report.h2.to_json_dict(),
-            }
-        )
-    if isinstance(report.wu, Indeterminate):
-        if report.h1_order == 1:
-            undecided = True
-            diffs.append(
-                {"field": "wu", "expected": encode_i(expected.i), "actual": "indeterminate"}
-            )
-    elif report.wu != expected.i:
-        mismatch = True
-        diffs.append(
-            {"field": "wu", "expected": encode_i(expected.i), "actual": encode_i(report.wu)}
-        )
-    doc = {"report": doc, "match": not diffs, "diffs": diffs}
+    diffs = compare(report, expected)
+    entries = [d.to_json_dict() for d in diffs]
+    doc = {"report": doc, "match": not diffs, "diffs": entries}
     lines = [_report_text(report), "match" if not diffs else "MISMATCH:"]
-    for d in diffs:
+    for d in entries:
         lines.append(f"  {d['field']}: expected {d['expected']}, got {d['actual']}")
     _emit(doc, args.format, lines)
-    if mismatch:
+    if any(not d.undecided for d in diffs):
         return EXIT_NO
-    return EXIT_UNDECIDED if undecided else EXIT_YES
+    return EXIT_UNDECIDED if diffs else EXIT_YES
 
 
 def _cmd_local(args) -> int:
@@ -301,6 +274,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_ERROR
     except AssertionError as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # Last resort: an unexpected exception is a defect, never a verdict.
+        print(f"internal defect: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

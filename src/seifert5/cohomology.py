@@ -29,6 +29,13 @@ algebra:
   on the even-free coordinates because the remaining cokernel has odd
   order.  Any nonorientable divisor forces Wu invariant 1.  When no
   certificate applies the honest answer is INDETERMINATE.
+
+A report is assembled from three facts, each computed once: the spec is
+validated, every multiplicity is factored, and c1(L/mu) is formed in
+integers.  The surjectivity primes and the shared H_2 / H^3 torsion counts
+read the factorizations; |H_1|, the rational c1 = c1(L/mu) / m(X) and the
+Wu certificate read c1(L/mu).  Each public function below validates its
+argument and then runs the same private steps, which never validate again.
 """
 
 from __future__ import annotations
@@ -36,10 +43,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .abgroup import AbelianGroup, IntMatrix, factorize, group_from_cokernel
-from .classify import INFINITY, encode_i
-from .seifert import Nonorientable, SeifertSpec, chern_class, chern_mu
+from .classify import INFINITY, FiveManifoldClass, encode_i
+from .seifert import Nonorientable, SeifertSpec, _chern_mu, base_w2
 
 __all__ = [
     "INDETERMINATE",
@@ -55,6 +63,8 @@ __all__ = [
     "wu_invariant",
     "simply_connected",
     "full_report",
+    "Diff",
+    "compare",
 ]
 
 
@@ -92,12 +102,7 @@ class RestrictionMap:
     moduli: tuple[int, ...]
 
     def is_surjective(self) -> bool:
-        primes = sorted({p for m in self.moduli for p in factorize(m)})
-        for p in primes:
-            rows = [row for row, m in zip(self.rows, self.moduli) if m % p == 0]
-            if _rank_mod_p(rows, p) < len(rows):
-                return False
-        return True
+        return _surjective(self, [factorize(m) for m in self.moduli])
 
     def cokernel(self) -> AbelianGroup:
         """Cokernel of Z^charts -> sum_i Z/m_i as an abelian group."""
@@ -110,6 +115,16 @@ class RestrictionMap:
         if not rows:
             return AbelianGroup.trivial()
         return group_from_cokernel(IntMatrix.from_rows(rows)) if width else AbelianGroup.trivial()
+
+
+def _surjective(rm: RestrictionMap, factors: list[dict[int, int]]) -> bool:
+    """Surjectivity from the factorization of each modulus: for every prime
+    p, the rows with p | m_i are independent over F_p."""
+    for p in sorted({p for f in factors for p in f}):
+        rows = [row for row, f in zip(rm.rows, factors) if p in f]
+        if _rank_mod_p(rows, p) < len(rows):
+            return False
+    return True
 
 
 def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
@@ -133,6 +148,11 @@ def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
     return rank
 
 
+def _restriction(spec: SeifertSpec) -> RestrictionMap:
+    rows = tuple(tuple(x % d.m for x in d.resolved_class(spec.charts)) for d in spec.divisors)
+    return RestrictionMap(rows=rows, moduli=tuple(d.m for d in spec.divisors))
+
+
 def restriction_matrix(spec: SeifertSpec) -> RestrictionMap:
     """The map H^2(X, Z) -> sum_i H^2(D_i, Z/m_i) in chart coordinates.
 
@@ -141,11 +161,18 @@ def restriction_matrix(spec: SeifertSpec) -> RestrictionMap:
     the divisor's class vector.
     """
     spec.require_valid()
-    rows = []
-    for d in spec.divisors:
-        cls = d.resolved_class(spec.charts)
-        rows.append(tuple(x % d.m for x in cls))
-    return RestrictionMap(rows=tuple(rows), moduli=tuple(d.m for d in spec.divisors))
+    return _restriction(spec)
+
+
+def _factors(spec: SeifertSpec) -> list[dict[int, int]]:
+    return [factorize(d.m) for d in spec.divisors]
+
+
+def _h1_order(spec: SeifertSpec, factors, c1_mu: tuple[int, ...]) -> int | UnknownNonzero:
+    rm = _restriction(spec)
+    if not _surjective(rm, factors):
+        return UnknownNonzero(lower_bound=rm.cokernel())
+    return math.gcd(*c1_mu)
 
 
 def h1_order(spec: SeifertSpec) -> int | UnknownNonzero:
@@ -156,28 +183,31 @@ def h1_order(spec: SeifertSpec) -> int | UnknownNonzero:
     the exact order is out of reach and the cokernel is returned as an
     UnknownNonzero lower bound.
     """
-    rm = restriction_matrix(spec)
-    if not rm.is_surjective():
-        return UnknownNonzero(lower_bound=rm.cokernel())
-    return math.gcd(*chern_mu(spec))
+    spec.require_valid()
+    return _h1_order(spec, _factors(spec), _chern_mu(spec))
 
 
-def _h2_torsion_counts(spec: SeifertSpec) -> dict[tuple[int, int], int]:
+def _torsion_counts(spec: SeifertSpec, factors) -> dict[tuple[int, int], int]:
+    """Shared torsion of H_2 and H^3: (Z/m)^beta per divisor, by primary parts."""
     counts: dict[tuple[int, int], int] = {}
-    for d in spec.divisors:
+    for d, f in zip(spec.divisors, factors):
         beta = d.surface.h1_mod2_dim
         if beta == 0:
             continue
-        for p, e in factorize(d.m).items():
+        for p, e in f.items():
             key = (p, e)
             counts[key] = counts.get(key, 0) + beta
     return counts
 
 
-def _require_h1_trivial(spec: SeifertSpec, what: str) -> None:
-    order = h1_order(spec)
+def _trivial_h1_facts(spec: SeifertSpec, what: str):
+    """Factorizations and c1(L/mu) of a valid spec, after checking |H_1| = 1."""
+    factors = _factors(spec)
+    c1_mu = _chern_mu(spec)
+    order = _h1_order(spec, factors, c1_mu)
     if order != 1:
         raise ValueError(f"{what} requires |H_1| = 1, but h1_order gave {order!r}")
+    return factors, c1_mu
 
 
 def h2_group(spec: SeifertSpec) -> AbelianGroup:
@@ -187,14 +217,24 @@ def h2_group(spec: SeifertSpec) -> AbelianGroup:
     beta = dim H_1(D, Z/2), split into primary parts.  Genus-zero
     orientable divisors contribute nothing.
     """
-    _require_h1_trivial(spec, "h2_group")
-    return AbelianGroup.from_counts(spec.charts - 1, _h2_torsion_counts(spec))
+    spec.require_valid()
+    factors, _ = _trivial_h1_facts(spec, "h2_group")
+    return AbelianGroup.from_counts(spec.charts - 1, _torsion_counts(spec, factors))
 
 
 def h3_torsion(spec: SeifertSpec) -> AbelianGroup:
     """Torsion of H^3 of the total space; isomorphic to the H_2 torsion."""
-    _require_h1_trivial(spec, "h3_torsion")
-    return AbelianGroup.from_counts(0, _h2_torsion_counts(spec))
+    spec.require_valid()
+    factors, _ = _trivial_h1_facts(spec, "h3_torsion")
+    return AbelianGroup.from_counts(0, _torsion_counts(spec, factors))
+
+
+def _w2(spec: SeifertSpec) -> tuple[int, ...]:
+    coords = [w + h for w, h in zip(base_w2(spec.charts), spec.twist)]
+    for d in spec.divisors:
+        for l, x in enumerate(d.resolved_class(spec.charts)):
+            coords[l] += d.b * x
+    return tuple(x % 2 for x in coords)
 
 
 def w2_class(spec: SeifertSpec) -> tuple[int, ...]:
@@ -206,11 +246,7 @@ def w2_class(spec: SeifertSpec) -> tuple[int, ...]:
     spec.require_valid()
     if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
         raise ValueError("w2_class needs orientable divisors; use wu_invariant instead")
-    coords = [1 + h for h in spec.twist]
-    for d in spec.divisors:
-        for l, x in enumerate(d.resolved_class(spec.charts)):
-            coords[l] += d.b * x
-    return tuple(x % 2 for x in coords)
+    return _w2(spec)
 
 
 def _bits(vec) -> int:
@@ -244,18 +280,37 @@ class _F2Span:
         return self.reduce(v) == 0
 
 
-def _even_kernel_span(spec: SeifertSpec) -> _F2Span:
+def _even_kernel_span(spec: SeifertSpec, c1_mu: tuple[int, ...]) -> _F2Span:
     """K2: the certified subspace of the mod-2 kernel of the pullback.
 
     Spanned by c1(L/mu) mod 2 together with the classes of even-multiplicity
     divisors (the pullback of [D] is m times a class, so it dies mod 2 for
     even m).
     """
-    span = _F2Span([_bits(chern_mu(spec))])
+    span = _F2Span([_bits(c1_mu)])
     for d in spec.divisors:
         if d.m % 2 == 0:
             span.add(_bits(d.resolved_class(spec.charts)))
     return span
+
+
+def _wu(spec: SeifertSpec, c1_mu: tuple[int, ...]):
+    if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
+        return 1
+    w = _bits(_w2(spec))
+    k2 = _even_kernel_span(spec, c1_mu)
+    if k2.contains(w):
+        return 0
+    if not spec.all_generator_classes():
+        return INDETERMINATE
+    even_charts = {d.chart for d in spec.divisors if d.m % 2 == 0}
+    witness_span = _F2Span(k2.basis)
+    for j in range(spec.charts):
+        if j not in even_charts:
+            witness_span.add(1 << j)
+    if witness_span.contains(w):
+        return INFINITY
+    return INDETERMINATE
 
 
 def wu_invariant(spec: SeifertSpec):
@@ -271,23 +326,8 @@ def wu_invariant(spec: SeifertSpec):
     INDETERMINATE.
     """
     spec.require_valid()
-    _require_h1_trivial(spec, "wu_invariant")
-    if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
-        return 1
-    w = _bits(w2_class(spec))
-    k2 = _even_kernel_span(spec)
-    if k2.contains(w):
-        return 0
-    if not spec.all_generator_classes():
-        return INDETERMINATE
-    even_charts = {d.chart for d in spec.divisors if d.m % 2 == 0}
-    witness_span = _F2Span(k2.basis)
-    for j in range(spec.charts):
-        if j not in even_charts:
-            witness_span.add(1 << j)
-    if witness_span.contains(w):
-        return INFINITY
-    return INDETERMINATE
+    _, c1_mu = _trivial_h1_facts(spec, "wu_invariant")
+    return _wu(spec, c1_mu)
 
 
 def simply_connected(spec: SeifertSpec) -> bool:
@@ -300,7 +340,18 @@ def simply_connected(spec: SeifertSpec) -> bool:
     spec.require_valid()
     if not spec.all_generator_classes():
         raise ValueError("simply_connected is only certified for generator divisor classes")
-    return h1_order(spec) == 1
+    return _h1_order(spec, _factors(spec), _chern_mu(spec)) == 1
+
+
+def _json_value(value):
+    """Wire encoding of a report field: an H_1 order, a group or a Wu value."""
+    if isinstance(value, UnknownNonzero):
+        return "unknown_nonzero"
+    if isinstance(value, Indeterminate):
+        return "indeterminate"
+    if isinstance(value, AbelianGroup):
+        return value.to_json_dict()
+    return encode_i(value)
 
 
 @dataclass(frozen=True)
@@ -316,27 +367,17 @@ class CohomologyReport:
     simply_connected: bool
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.h1_order, UnknownNonzero):
-            h1: object = "unknown_nonzero"
-            h1_bound = self.h1_order.lower_bound.to_json_dict()
-        else:
-            h1 = self.h1_order
-            h1_bound = None
-        if isinstance(self.wu, Indeterminate):
-            wu: object = "indeterminate"
-        else:
-            wu = encode_i(self.wu)
         out = {
-            "h1_order": h1,
+            "h1_order": _json_value(self.h1_order),
             "h2": self.h2.to_json_dict() if self.h2 is not None else None,
             "h3_torsion": self.h3_tors.to_json_dict() if self.h3_tors is not None else None,
             "c1": [str(c) for c in self.c1],
             "c1_mu": list(self.c1_mu),
-            "wu": wu,
+            "wu": _json_value(self.wu),
             "simply_connected": self.simply_connected,
         }
-        if h1_bound is not None:
-            out["h1_torsion_lower_bound"] = h1_bound
+        if isinstance(self.h1_order, UnknownNonzero):
+            out["h1_torsion_lower_bound"] = self.h1_order.lower_bound.to_json_dict()
         return out
 
 
@@ -349,13 +390,16 @@ def full_report(spec: SeifertSpec) -> CohomologyReport:
     spec.require_valid()
     if not spec.all_generator_classes():
         raise ValueError("full_report is only certified for generator divisor classes")
-    order = h1_order(spec)
-    c1 = chern_class(spec)
-    c1_mu = chern_mu(spec)
+    factors = _factors(spec)
+    c1_mu = _chern_mu(spec)
+    order = _h1_order(spec, factors, c1_mu)
+    m_x = spec.multiplicity_lcm()
+    c1 = tuple(Fraction(x, m_x) for x in c1_mu)
     if order == 1:
-        h2 = h2_group(spec)
-        h3 = h3_torsion(spec)
-        wu = wu_invariant(spec)
+        counts = _torsion_counts(spec, factors)
+        h2 = AbelianGroup.from_counts(spec.charts - 1, counts)
+        h3 = AbelianGroup.from_counts(0, counts)
+        wu = _wu(spec, c1_mu)
         sc = True
     else:
         h2 = None
@@ -365,3 +409,42 @@ def full_report(spec: SeifertSpec) -> CohomologyReport:
     return CohomologyReport(
         h1_order=order, h2=h2, h3_tors=h3, c1=c1, c1_mu=c1_mu, wu=wu, simply_connected=sc
     )
+
+
+class Diff(NamedTuple):
+    """A field where a report does not confirm an expected class; undecided
+    when the report could not settle the field rather than contradicting it."""
+
+    field: str
+    expected: object
+    actual: object
+    undecided: bool = False
+
+    def to_json_dict(self) -> dict:
+        return {
+            "field": self.field,
+            "expected": _json_value(self.expected),
+            "actual": _json_value(self.actual),
+        }
+
+
+def compare(report: CohomologyReport, cls: FiveManifoldClass) -> list[Diff]:
+    """The fields where `report` fails to confirm `cls`, in a fixed order.
+
+    |H_1| must be 1, and an UnknownNonzero order is undecided.  H_2 is
+    compared when the report determines it.  The Wu invariant is compared
+    when |H_1| = 1, where INDETERMINATE is undecided; with |H_1| != 1 it is
+    INDETERMINATE by construction and adds nothing.
+    """
+    diffs = []
+    if report.h1_order != 1:
+        undecided = isinstance(report.h1_order, UnknownNonzero)
+        diffs.append(Diff("h1_order", 1, report.h1_order, undecided))
+    if report.h2 is not None and report.h2 != cls.h2:
+        diffs.append(Diff("h2", cls.h2, report.h2))
+    if isinstance(report.wu, Indeterminate):
+        if report.h1_order == 1:
+            diffs.append(Diff("wu", cls.i, report.wu, undecided=True))
+    elif report.wu != cls.i:
+        diffs.append(Diff("wu", cls.i, report.wu))
+    return diffs

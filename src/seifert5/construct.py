@@ -54,7 +54,7 @@ from .classify import (
     Infinity,
     circle_action_admissible,
 )
-from .cohomology import CohomologyReport, full_report
+from .cohomology import CohomologyReport, compare, full_report
 from .seifert import Divisor, Nonorientable, Orientable, SeifertSpec
 
 __all__ = [
@@ -219,21 +219,21 @@ def build(cls: FiveManifoldClass) -> SeifertSpec:
 def verify_roundtrip(cls: FiveManifoldClass) -> CohomologyReport:
     """Build the presentation and recompute every invariant from it.
 
-    Any mismatch with the requested class is a hard defect and raises.
+    Any field `compare` reports, mismatched or undecided, is a hard defect
+    and raises, naming every field of the report that differs from `cls`.
     """
     spec = build(cls)
     report = full_report(spec)
-    problems = []
-    if report.h1_order != 1:
-        problems.append(f"|H_1| = {report.h1_order!r}, expected 1")
-    if not report.simply_connected:
-        problems.append("not simply connected")
-    expected_h2 = AbelianGroup(cls.k, cls.h2.torsion)
-    if report.h2 != expected_h2:
-        problems.append(f"H_2 = {report.h2}, expected {expected_h2}")
-    if report.wu != cls.i:
-        problems.append(f"wu = {report.wu!r}, expected {cls.i!r}")
-    if problems:
+    if compare(report, cls):
+        problems = []
+        if report.h1_order != 1:
+            problems.append(f"|H_1| = {report.h1_order!r}, expected 1")
+        if not report.simply_connected:
+            problems.append("not simply connected")
+        if report.h2 != cls.h2:
+            problems.append(f"H_2 = {report.h2}, expected {cls.h2}")
+        if report.wu != cls.i:
+            problems.append(f"wu = {report.wu!r}, expected {cls.i!r}")
         raise ConstructionDefect("; ".join(problems))
     return report
 

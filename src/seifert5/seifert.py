@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .abgroup import _json_int
+
 __all__ = [
     "Orientable",
     "Nonorientable",
@@ -243,6 +245,10 @@ class SeifertSpec:
         missing = {"charts", "divisors", "twist"} - set(data)
         if missing:
             raise SpecSchemaError(f"missing field {sorted(missing)[0]!r}")
+
+        def integer(value, what: str) -> int:
+            return _json_int(value, what, SpecSchemaError)
+
         divisors = []
         for idx, entry in enumerate(data["divisors"]):
             if not isinstance(entry, dict):
@@ -260,24 +266,33 @@ class SeifertSpec:
                 extra = set(surf) - {"orientable", "genus"}
                 if extra:
                     raise SpecSchemaError(f"unknown field {sorted(extra)[0]!r} in surface {idx}")
-                surface: SurfaceType = Orientable(genus=surf.get("genus", 0))
+                genus = integer(surf.get("genus", 0), f"divisor {idx} genus")
+                surface: SurfaceType = Orientable(genus=genus)
             else:
                 extra = set(surf) - {"orientable", "b1"}
                 if extra:
                     raise SpecSchemaError(f"unknown field {sorted(extra)[0]!r} in surface {idx}")
                 if "b1" not in surf:
                     raise SpecSchemaError(f"missing field 'b1' in nonorientable surface {idx}")
-                surface = Nonorientable(b1=surf["b1"])
+                surface = Nonorientable(b1=integer(surf["b1"], f"divisor {idx} b1"))
+            h2_class = None
+            if "h2_class" in entry:
+                h2_class = tuple(integer(x, f"divisor {idx} h2_class entry")
+                                 for x in entry["h2_class"])
             divisors.append(
                 Divisor(
-                    chart=entry["chart"],
+                    chart=integer(entry["chart"], f"divisor {idx} chart"),
                     surface=surface,
-                    m=entry["m"],
-                    b=entry["b"],
-                    h2_class=tuple(entry["h2_class"]) if "h2_class" in entry else None,
+                    m=integer(entry["m"], f"divisor {idx} m"),
+                    b=integer(entry["b"], f"divisor {idx} b"),
+                    h2_class=h2_class,
                 )
             )
-        spec = cls(charts=data["charts"], divisors=tuple(divisors), twist=tuple(data["twist"]))
+        spec = cls(
+            charts=integer(data["charts"], "charts"),
+            divisors=tuple(divisors),
+            twist=tuple(integer(h, "twist entry") for h in data["twist"]),
+        )
         spec.require_valid()
         return spec
 
@@ -292,24 +307,25 @@ class SeifertSpec:
 def chern_class(spec: SeifertSpec) -> tuple[Fraction, ...]:
     """c1 of the total space over the base: twist + sum of (b/m) [D], exact.
 
-    Linear in the twist vector.
+    Linear in the twist vector; equal to chern_mu(spec) / m(X).
     """
     spec.require_valid()
-    coords = [Fraction(h) for h in spec.twist]
-    for d in spec.divisors:
-        weight = Fraction(d.b, d.m)
-        for l, x in enumerate(d.resolved_class(spec.charts)):
-            coords[l] += weight * x
-    return tuple(coords)
+    m_x = spec.multiplicity_lcm()
+    return tuple(Fraction(x, m_x) for x in _chern_mu(spec))
 
 
 def chern_mu(spec: SeifertSpec) -> tuple[int, ...]:
     """The integral class m(X) * c1, the Chern class of the quotient circle bundle."""
+    spec.require_valid()
+    return _chern_mu(spec)
+
+
+def _chern_mu(spec: SeifertSpec) -> tuple[int, ...]:
+    """m(X) * twist + sum of b * (m(X)/m) [D], for a spec already validated."""
     m_x = spec.multiplicity_lcm()
-    out = []
-    for c in chern_class(spec):
-        scaled = c * m_x
-        if scaled.denominator != 1:
-            raise ArithmeticError(f"m(X) = {m_x} failed to clear denominator of {c}")
-        out.append(int(scaled))
-    return tuple(out)
+    coords = [m_x * h for h in spec.twist]
+    for d in spec.divisors:
+        weight = d.b * (m_x // d.m)
+        for l, x in enumerate(d.resolved_class(spec.charts)):
+            coords[l] += weight * x
+    return tuple(coords)

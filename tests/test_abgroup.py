@@ -18,6 +18,15 @@ from seifert5.abgroup import (
     smith_normal_form,
 )
 
+from oracles import (
+    det,
+    factorize_by_trial_division,
+    identity,
+    is_prime_by_trial_division,
+    matmul,
+    zeros,
+)
+
 
 def random_matrix(rng, max_dim=6, max_entry=20):
     rows = rng.randint(1, max_dim)
@@ -29,9 +38,9 @@ def random_matrix(rng, max_dim=6, max_entry=20):
 
 def check_snf(A):
     U, D, V = smith_normal_form(A)
-    assert U @ A @ V == D
-    assert abs(U.det()) == 1
-    assert abs(V.det()) == 1
+    assert matmul(matmul(U, A), V) == D
+    assert abs(det(U)) == 1
+    assert abs(det(V)) == 1
     for i in range(D.rows):
         for j in range(D.cols):
             if i != j:
@@ -48,7 +57,7 @@ def check_snf(A):
 
 class TestSmithNormalForm:
     def test_identity(self):
-        I3 = IntMatrix.identity(3)
+        I3 = identity(3)
         U, D, V = smith_normal_form(I3)
         assert (U, D, V) == (I3, I3, I3)
 
@@ -59,14 +68,14 @@ class TestSmithNormalForm:
         assert diag == (2, 4)
         entries = [x for row in A.entries for x in row]
         assert diag[0] == math.gcd(*entries)
-        assert diag[0] * diag[1] == abs(A.det())
+        assert diag[0] * diag[1] == abs(det(A))
 
     def test_zero(self):
-        A = IntMatrix.zeros(2, 2)
+        A = zeros(2, 2)
         U, D, V = smith_normal_form(A)
         assert D == A
-        assert U == IntMatrix.identity(2)
-        assert V == IntMatrix.identity(2)
+        assert U == identity(2)
+        assert V == identity(2)
 
     def test_fuzz(self):
         rng = random.Random(20260810)
@@ -99,7 +108,7 @@ class TestMatrix:
         for _ in range(50):
             n = rng.randint(1, 4)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert IntMatrix.from_rows(rows).det() == cofactor_det(rows)
+            assert det(IntMatrix.from_rows(rows)) == cofactor_det(rows)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
@@ -124,6 +133,68 @@ class TestPrimesAndFactoring:
         f = factorize(n)
         assert math.prod(p**e for p, e in f.items()) == n
         assert all(is_prime(p) for p in f)
+
+    def test_agrees_with_trial_division_below_1e5(self):
+        for n in range(1, 10**5):
+            assert is_prime(n) == is_prime_by_trial_division(n)
+            assert factorize(n) == factorize_by_trial_division(n)
+
+    def test_agrees_with_trial_division_up_to_1e12(self):
+        rng = random.Random(1012)
+        for _ in range(60):
+            n = rng.randint(1, 10**12)
+            assert is_prime(n) == is_prime_by_trial_division(n)
+            assert factorize(n) == factorize_by_trial_division(n)
+
+    def test_cofactor_one_after_the_last_small_prime(self):
+        # 997 is the largest prime below 1000: dividing it out can leave
+        # nothing, and no factor 1 may appear.
+        assert factorize(997**2) == {997: 2}
+        assert factorize(2 * 997**3) == {2: 1, 997: 3}
+        for s in range(1, 300):
+            for n in (s * 997**2, s * 997**3):
+                assert factorize(n) == factorize_by_trial_division(n), n
+        for centre in (997**2, 1009**2):
+            for n in range(centre - 1000, centre + 1000):
+                assert is_prime(n) == is_prime_by_trial_division(n), n
+                assert factorize(n) == factorize_by_trial_division(n), n
+
+    def test_prime_squares_near_1e10(self):
+        p = 10**5 - 1000
+        found = 0
+        while found < 30:
+            p += 1
+            if is_prime_by_trial_division(p):
+                found += 1
+                assert factorize(p * p) == {p: 2}
+                assert not is_prime(p * p)
+                assert factorize(p * p * (p + 2)) == factorize_by_trial_division(p * p * (p + 2))
+
+    def test_pseudoprimes(self):
+        # Carmichael numbers fool the Fermat test; the other two are strong
+        # pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes.
+        known = {
+            561: {3: 1, 11: 1, 17: 1},
+            41041: {7: 1, 11: 1, 13: 1, 41: 1},
+            3215031751: {151: 1, 751: 1, 28351: 1},
+            3825123056546413051: {149491: 1, 747451: 1, 34233211: 1},
+        }
+        for n, factors in known.items():
+            assert not is_prime(n)
+            assert factorize(n) == factors
+
+    def test_semiprimes_near_1e18(self):
+        primes = [10**9 + 7, 10**9 + 9, 999999937, 998244353]
+        assert all(is_prime(p) for p in primes)
+        for i, p in enumerate(primes):
+            for q in primes[i + 1 :]:
+                f = factorize(p * q)
+                assert math.prod(r**e for r, e in f.items()) == p * q
+                assert all(is_prime(r) for r in f)
+                assert f == dict(sorted({p: 1, q: 1}.items()))
+        # A repeated factor, below the 3.3e24 bound where Miller-Rabin is exact.
+        n = (10**6 + 3) ** 2 * (10**9 + 7)
+        assert factorize(n) == {10**6 + 3: 2, 10**9 + 7: 1}
 
     def test_prime_power_validation(self):
         with pytest.raises(ValueError):

@@ -216,3 +216,15 @@ class TestWire:
         assert FiveManifoldClass.from_json_dict(cls.to_json_dict()) == cls
         with pytest.raises(ValueError, match="'i'"):
             FiveManifoldClass.from_json_dict({"free_rank": 0, "torsion": []})
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize("field", ["free_rank", "p", "e", "count", "i"])
+    def test_integer_fields_refuse_non_integers(self, field, value):
+        data = {"free_rank": 1, "torsion": [{"p": 3, "e": 1, "count": 2}], "i": 0}
+        FiveManifoldClass.from_json_dict(data)
+        if field in ("free_rank", "i"):
+            data[field] = value
+        else:
+            data["torsion"][0][field] = value
+        with pytest.raises(ValueError):
+            FiveManifoldClass.from_json_dict(data)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -5,7 +6,9 @@ import sys
 
 import pytest
 
+from seifert5 import cli
 from seifert5.cli import main
+from seifert5.cohomology import INDETERMINATE
 
 
 def run_cli(capsys, *argv):
@@ -314,3 +317,85 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 0
+
+
+GENUS_TWO_SPEC = {
+    "charts": 1,
+    "divisors": [{"chart": 0, "surface": {"orientable": True, "genus": 2}, "m": 5, "b": 1}],
+    "twist": [0],
+}
+
+
+def assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with one stderr line, never 1 (a verdict)."""
+
+    def test_non_object_torsion_entry(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cls.json", {"free_rank": 0, "torsion": [3], "i": 0})
+        assert_input_error(*run_cli(capsys, "gate", path))
+
+    def test_string_free_rank(self, tmp_path, capsys):
+        cls = dict(HOMOLOGY_SPHERE, free_rank="1")
+        assert_input_error(*run_cli(capsys, "gate", write_json(tmp_path, "cls.json", cls)))
+
+    def test_construct_on_a_list(self, tmp_path, capsys):
+        path = write_json(tmp_path, "cls.json", [1, 2])
+        assert_input_error(*run_cli(capsys, "construct", "--target-i", "0", path))
+
+    def test_float_multiplicity(self, tmp_path, capsys):
+        spec = json.loads(json.dumps(GENUS_TWO_SPEC))
+        spec["divisors"][0]["m"] = 2.0
+        assert_input_error(*run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec)))
+
+    def test_unexpected_exception_is_internal_defect(self, monkeypatch, capsys):
+        def broken(args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "_cmd_local", broken)
+        code, out, err = run_cli(capsys, "local", "--m", "12", "--exponents", "3,4")
+        assert_input_error(code, out, err)
+        assert err == "internal defect: KeyError: 'x'\n"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("count", 2.5), ("free_rank", True), ("count", "3"), ("p", 5.0), ("e", True)],
+    )
+    def test_gate_refuses_non_integers(self, tmp_path, capsys, field, value):
+        cls = json.loads(json.dumps(HOMOLOGY_SPHERE))
+        if field == "free_rank":
+            cls["free_rank"] = value
+        else:
+            cls["torsion"][0][field] = value
+        code, out, err = run_cli(capsys, "gate", write_json(tmp_path, "cls.json", cls))
+        assert_input_error(code, out, err)
+        assert err.startswith("error: ")
+
+
+class TestVerifyExpectUndecided:
+    def test_indeterminate_wu_exits_three(self, tmp_path, monkeypatch, capsys):
+        real = cli.full_report
+        monkeypatch.setattr(
+            cli, "full_report", lambda spec: dataclasses.replace(real(spec), wu=INDETERMINATE)
+        )
+        cls = {"free_rank": 0, "torsion": [{"p": 5, "e": 1, "count": 4}], "i": 0}
+        spec_path = write_json(tmp_path, "spec.json", GENUS_TWO_SPEC)
+        cls_path = write_json(tmp_path, "cls.json", cls)
+        code, out, _ = run_cli(capsys, "verify", "--expect", cls_path, spec_path)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["match"] is False
+        assert doc["diffs"] == [{"field": "wu", "expected": 0, "actual": "indeterminate"}]
+
+    def test_h1_mismatch_lists_one_diff(self, tmp_path, capsys):
+        spec = dict(GENUS_TWO_SPEC, twist=[1])
+        cls = {"free_rank": 0, "torsion": [{"p": 5, "e": 1, "count": 4}], "i": 0}
+        spec_path = write_json(tmp_path, "spec.json", spec)
+        cls_path = write_json(tmp_path, "cls.json", cls)
+        code, out, _ = run_cli(capsys, "verify", "--expect", cls_path, spec_path)
+        assert code == 1
+        assert json.loads(out)["diffs"] == [{"field": "h1_order", "expected": 1, "actual": 6}]

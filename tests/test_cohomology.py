@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from seifert5.abgroup import AbelianGroup
-from seifert5.classify import INFINITY
+from seifert5.classify import INFINITY, FiveManifoldClass
 from seifert5.cohomology import (
     INDETERMINATE,
     UnknownNonzero,
+    compare,
     full_report,
     h1_order,
     h2_group,
@@ -19,7 +21,10 @@ from seifert5.cohomology import (
     w2_class,
     wu_invariant,
 )
+from seifert5.construct import enumerate_admissible
 from seifert5.seifert import Divisor, Nonorientable, Orientable, SeifertSpec
+
+from oracles import full_report_reference
 
 
 def spec_of(divisors, twist, charts=1):
@@ -352,3 +357,91 @@ class TestFullReport:
         assert doc["h1_order"] == 1
         assert doc["wu"] == 0
         assert doc["simply_connected"] is True
+
+
+def _random_generator_spec(rng):
+    """A generator-class spec: 1-4 charts, up to three pairwise coprime
+    multiplicities per chart (small composites, and squares of primes
+    above 1000 that the factorizer splits by Pollard rho), some
+    nonorientable m = 2 divisors, twist in [-2, 2]."""
+    pool = [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 25, 27, 49, 1009**2, 1013**2, 2003**2]
+    charts = rng.randint(1, 4)
+    divisors = []
+    for chart in range(charts):
+        used = []
+        for m in rng.sample(pool, k=rng.randint(0, 3)):
+            if any(math.gcd(m, u) != 1 for u in used):
+                continue
+            used.append(m)
+            b = rng.randrange(1, m)
+            while math.gcd(b, m) != 1:
+                b = rng.randrange(1, m)
+            if m == 2 and rng.random() < 0.5:
+                surface = Nonorientable(rng.randint(1, 3))
+            else:
+                surface = Orientable(rng.randint(0, 2))
+            divisors.append(Divisor(chart, surface, m, b))
+    twist = tuple(rng.randint(-2, 2) for _ in range(charts))
+    return SeifertSpec(charts=charts, divisors=tuple(divisors), twist=twist)
+
+
+class TestReportEquivalence:
+    """full_report against the reference that computes every fact apiece."""
+
+    def test_enumerated_classes(self):
+        for _, spec in enumerate_admissible(1024, 2):
+            assert full_report(spec).to_json_dict() == full_report_reference(spec).to_json_dict()
+
+    def test_multiplicity_a_square_of_the_last_small_prime(self):
+        # 997 is the largest prime the factorizer divides out by trial.
+        for m in (997**2, 2 * 997**2):
+            spec = spec_of([Divisor(0, Orientable(1), m, 1)], [0])
+            doc = full_report(spec).to_json_dict()
+            assert doc == full_report_reference(spec).to_json_dict()
+            assert doc["h1_order"] == 1
+
+    def test_random_generator_specs(self):
+        rng = random.Random(2026)
+        wu_seen, h1_seen, nonorientable = set(), set(), 0
+        for _ in range(300):
+            spec = _random_generator_spec(rng)
+            doc = full_report(spec).to_json_dict()
+            assert doc == full_report_reference(spec).to_json_dict()
+            wu_seen.add(doc["wu"])
+            h1_seen.add(doc["h1_order"] == 1)
+            nonorientable += any(isinstance(d.surface, Nonorientable) for d in spec.divisors)
+        assert wu_seen == {0, 1, "inf", "indeterminate"}
+        assert h1_seen == {True, False}
+        assert nonorientable >= 20
+
+
+def _class(torsion, i, k=0):
+    return FiveManifoldClass(AbelianGroup.from_counts(k, torsion), i)
+
+
+class TestCompare:
+    SPEC = spec_of([Divisor(0, Orientable(2), 5, 1)], [0])
+
+    def test_match(self):
+        assert compare(full_report(self.SPEC), _class({(5, 1): 4}, 0)) == []
+
+    def test_mismatch(self):
+        diffs = compare(full_report(self.SPEC), _class({(5, 1): 2}, INFINITY, k=1))
+        assert [(d.field, d.undecided) for d in diffs] == [("h2", False), ("wu", False)]
+        assert diffs[1].to_json_dict() == {"field": "wu", "expected": "inf", "actual": 0}
+
+    def test_h1_mismatch_hides_undetermined_fields(self):
+        report = full_report(spec_of([Divisor(0, Orientable(1), 3, 1)], [1]))
+        (diff,) = compare(report, _class({(3, 1): 2}, 0))
+        assert (diff.field, diff.expected, diff.actual, diff.undecided) == ("h1_order", 1, 4, False)
+
+    def test_undecided(self):
+        report = dataclasses.replace(full_report(self.SPEC), wu=INDETERMINATE)
+        (diff,) = compare(report, _class({(5, 1): 4}, 0))
+        assert diff.undecided
+        assert diff.to_json_dict() == {"field": "wu", "expected": 0, "actual": "indeterminate"}
+        bound = UnknownNonzero(AbelianGroup.from_counts(0, {(3, 1): 1}))
+        report = dataclasses.replace(report, h1_order=bound, h2=None, h3_tors=None)
+        (diff,) = compare(report, _class({(5, 1): 4}, 0))
+        assert diff.undecided
+        assert diff.to_json_dict() == {"field": "h1_order", "expected": 1, "actual": "unknown_nonzero"}

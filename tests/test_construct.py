@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,7 +11,10 @@ from seifert5.classify import (
     circle_action_admissible,
     smale_barden_realizable,
 )
+from seifert5 import construct
+from seifert5.cohomology import INDETERMINATE
 from seifert5.construct import (
+    ConstructionDefect,
     GateRejection,
     _realizable_profiles,
     _torsion_profiles,
@@ -203,6 +207,32 @@ class TestRoundTrip:
         rep = verify_roundtrip(cls_of(1, {}, INFINITY))
         assert rep.h2 == AbelianGroup.free(1)
         assert rep.wu is INFINITY
+
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"h1_order": 3, "h2": None, "h3_tors": None, "wu": INDETERMINATE,
+                 "simply_connected": False},
+                "|H_1| = 3, expected 1; not simply connected; "
+                "H_2 = None, expected (Z/5)^4; wu = INDETERMINATE, expected 0",
+            ),
+            (
+                {"h2": AbelianGroup.from_counts(0, {(5, 1): 2}), "wu": INFINITY},
+                "H_2 = (Z/5)^2, expected (Z/5)^4; wu = INFINITY, expected 0",
+            ),
+            ({"wu": INDETERMINATE}, "wu = INDETERMINATE, expected 0"),
+        ],
+    )
+    def test_defect_messages(self, monkeypatch, changes, message):
+        real = construct.full_report
+        monkeypatch.setattr(
+            construct, "full_report", lambda spec: dataclasses.replace(real(spec), **changes)
+        )
+        with pytest.raises(ConstructionDefect) as info:
+            verify_roundtrip(cls_of(0, {(5, 1): 4}, 0))
+        assert str(info.value) == message
 
 
 class TestEnumerate:

@@ -176,7 +176,7 @@ class TestCoverSearch:
         for n in small:
             assert sasakian._divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
         large = primes + [p * p for p in primes if p * p <= 10**18]
-        large += [2**29, 3**18, 720720, 735134400]
+        large += [2**29, 3**18, 720720, 735134400, 997**2, 6 * 997**3]
         large += [rng.randint(1, 10**9) for _ in range(40)]
         for n in large:
             assert sasakian._divisors(n) == divisors_by_trial_division(n), n

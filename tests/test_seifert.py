@@ -172,6 +172,38 @@ class TestJson:
         assert json.loads(raw)["divisors"][0]["h2_class"] == [1, 2]
         assert SeifertSpec.from_json(raw) == spec
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("charts",),
+            ("twist", 0),
+            ("divisors", 0, "chart"),
+            ("divisors", 0, "m"),
+            ("divisors", 0, "b"),
+            ("divisors", 0, "h2_class", 0),
+            ("divisors", 0, "surface", "genus"),
+            ("divisors", 1, "surface", "b1"),
+        ],
+    )
+    def test_integer_fields_refuse_non_integers(self, path, value):
+        data = {
+            "charts": 2,
+            "divisors": [
+                {"chart": 0, "surface": {"orientable": True, "genus": 1}, "m": 3, "b": 1,
+                 "h2_class": [1, 0]},
+                {"chart": 1, "surface": {"orientable": False, "b1": 1}, "m": 2, "b": 1},
+            ],
+            "twist": [0, 0],
+        }
+        SeifertSpec.from_json_dict(json.loads(json.dumps(data)))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(SpecSchemaError, match="must be an integer"):
+            SeifertSpec.from_json_dict(data)
+
     def test_canonical_output_fields(self):
         spec = simple_spec([Divisor(0, Orientable(0), 2, 1)], [0])
         assert list(spec.to_json_dict()) == ["charts", "divisors", "twist"]
