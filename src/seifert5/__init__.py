@@ -26,12 +26,10 @@ from .classify import (
 from .cohomology import (
     INDETERMINATE,
     CohomologyReport,
-    UnknownNonzero,
     full_report,
     h1_order,
     h2_group,
     h3_torsion,
-    restriction_matrix,
     simply_connected,
     w2_class,
     wu_invariant,

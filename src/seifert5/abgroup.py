@@ -69,23 +69,18 @@ def _is_prime_rough(n: int) -> bool:
     """Primality of an n > 1 with no prime factor p < 1000, p**2 <= n.
 
     Below 1009**2 such an n is prime; below 3.3 * 10**24 deterministic
-    Miller-Rabin decides; beyond that bound, where no base set is proven,
-    the answer comes from trial division.
+    Miller-Rabin decides.  Beyond that bound no base set is proven, so
+    the question is refused rather than answered by unbounded work.
     """
     if n < _SMALL_LIMIT:
         return True
-    if n < _MR_LIMIT:
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        return all(_is_strong_probable_prime(n, d, s, a) for a in _MR_BASES)
-    f = 1001  # the first 6j - 1 above the small primes
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT:,}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return all(_is_strong_probable_prime(n, d, s, a) for a in _MR_BASES)
 
 
 def is_prime(n: int) -> bool:
@@ -93,7 +88,8 @@ def is_prime(n: int) -> bool:
 
     Trial division by the primes below 1000 (stopping at p**2 > n) decides
     every n below 10**6; larger n go to deterministic Miller-Rabin, which
-    is exact below 3.3 * 10**24, and to trial division above that.
+    is exact below 3.3 * 10**24.  An n at or above that bound with no
+    prime factor below 1000 raises ValueError.
 
     >>> [k for k in range(20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
@@ -134,7 +130,8 @@ def factorize(n: int) -> dict[int, int]:
     The primes below 1000 are divided out first, stopping at p**2 > n; a
     composite cofactor left over has only large prime factors and is split
     by Pollard rho (Brent's variant, constants c = 1, 2, ... in turn), each
-    part tested with the same deterministic primality check as `is_prime`.
+    part tested with the same deterministic primality check as `is_prime`,
+    so a cofactor at or above 3.3 * 10**24 raises ValueError.
 
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
@@ -452,11 +449,19 @@ class AbelianGroup:
         extra = set(data) - {"free_rank", "torsion"}
         if extra:
             raise ValueError(f"unknown group field {sorted(extra)[0]!r}")
+        torsion = data.get("torsion", [])
+        if not isinstance(torsion, list):
+            raise ValueError(f"torsion must be a list, got {torsion!r}")
         counts: dict[tuple[int, int], int] = {}
-        for entry in data.get("torsion", []):
+        for entry in torsion:
+            if not isinstance(entry, dict):
+                raise ValueError(f"torsion entry must be an object, got {entry!r}")
             bad = set(entry) - {"p", "e", "count"}
             if bad:
                 raise ValueError(f"unknown torsion field {sorted(bad)[0]!r}")
+            missing = {"p", "e", "count"} - set(entry)
+            if missing:
+                raise ValueError(f"missing torsion field {sorted(missing)[0]!r}")
             key = (_json_int(entry["p"], "torsion p"), _json_int(entry["e"], "torsion e"))
             counts[key] = counts.get(key, 0) + _json_int(entry["count"], "torsion count")
         return cls.from_counts(_json_int(data.get("free_rank", 0), "free_rank"), counts)

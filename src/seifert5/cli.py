@@ -2,9 +2,8 @@
 
 Exit codes: 0 for an affirmative verdict (realizable, admissible, verified,
 feasible), 1 for a negative verdict, 2 for input or internal errors, 3 when
-the answer is INDETERMINATE or the search was inconclusive.  Output is a
-single JSON document on stdout (JSON lines for `enumerate`); diagnostics go
-to stderr only.
+the Sasaki cover search was inconclusive.  Output is a single JSON document
+on stdout (JSON lines for `enumerate`); diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -89,12 +88,18 @@ def _cmd_gate(args) -> int:
     return EXIT_YES if verdict.admissible else EXIT_NO
 
 
+def _group_of(data) -> AbelianGroup:
+    """The group of a class document; its `i` field is ignored."""
+    if not isinstance(data, dict):
+        raise ValueError("class must be a JSON object")
+    return AbelianGroup.from_json_dict({k: v for k, v in data.items() if k != "i"})
+
+
 def _cmd_construct(args) -> int:
     data = _parse_json(_read_input(args.input))
     if args.target_i is not None:
         i = decode_i(args.target_i if args.target_i == "inf" else int(args.target_i))
-        group_data = {k: v for k, v in data.items() if k != "i"}
-        cls = FiveManifoldClass(AbelianGroup.from_json_dict(group_data), i)
+        cls = FiveManifoldClass(_group_of(data), i)
     else:
         cls = FiveManifoldClass.from_json_dict(data)
     try:
@@ -142,9 +147,7 @@ def _cmd_verify(args) -> int:
     for d in entries:
         lines.append(f"  {d['field']}: expected {d['expected']}, got {d['actual']}")
     _emit(doc, args.format, lines)
-    if any(not d.undecided for d in diffs):
-        return EXIT_NO
-    return EXIT_UNDECIDED if diffs else EXIT_YES
+    return EXIT_NO if diffs else EXIT_YES
 
 
 def _cmd_local(args) -> int:
@@ -170,8 +173,7 @@ def _cmd_sasaki(args) -> int:
     if args.values is not None:
         values = [int(x) for x in args.values.split(",")]
     else:
-        data = _parse_json(_read_input(args.input))
-        group = AbelianGroup.from_json_dict({k: v for k, v in data.items() if k != "i"})
+        group = _group_of(_parse_json(_read_input(args.input)))
         if group.free_rank != 0:
             raise ValueError("sasaki check applies to rational homology spheres (free_rank 0)")
         values = []

@@ -219,8 +219,8 @@ def build(cls: FiveManifoldClass) -> SeifertSpec:
 def verify_roundtrip(cls: FiveManifoldClass) -> CohomologyReport:
     """Build the presentation and recompute every invariant from it.
 
-    Any field `compare` reports, mismatched or undecided, is a hard defect
-    and raises, naming every field of the report that differs from `cls`.
+    Any field `compare` reports is a hard defect and raises, naming every
+    field of the report that differs from `cls`.
     """
     spec = build(cls)
     report = full_report(spec)

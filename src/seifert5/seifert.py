@@ -220,6 +220,13 @@ class SeifertSpec:
     def all_generator_classes(self) -> bool:
         return all(d.is_generator_class(self.charts) for d in self.divisors)
 
+    def require_certified(self, what: str) -> None:
+        """Validate, and refuse any divisor off the generator of its chart:
+        the invariants are certified for generator classes only."""
+        self.require_valid()
+        if not self.all_generator_classes():
+            raise ValueError(f"{what} is only certified for generator divisor classes")
+
     def to_json_dict(self) -> dict:
         divisors = []
         for d in self.divisors:
@@ -249,8 +256,13 @@ class SeifertSpec:
         def integer(value, what: str) -> int:
             return _json_int(value, what, SpecSchemaError)
 
+        def array(value, what: str) -> list:
+            if not isinstance(value, list):
+                raise SpecSchemaError(f"{what} must be a list, got {value!r}")
+            return value
+
         divisors = []
-        for idx, entry in enumerate(data["divisors"]):
+        for idx, entry in enumerate(array(data["divisors"], "divisors")):
             if not isinstance(entry, dict):
                 raise SpecSchemaError(f"divisor {idx} must be an object")
             extra = set(entry) - {"chart", "surface", "m", "b", "h2_class"}
@@ -278,7 +290,7 @@ class SeifertSpec:
             h2_class = None
             if "h2_class" in entry:
                 h2_class = tuple(integer(x, f"divisor {idx} h2_class entry")
-                                 for x in entry["h2_class"])
+                                 for x in array(entry["h2_class"], f"divisor {idx} h2_class"))
             divisors.append(
                 Divisor(
                     chart=integer(entry["chart"], f"divisor {idx} chart"),
@@ -291,7 +303,7 @@ class SeifertSpec:
         spec = cls(
             charts=integer(data["charts"], "charts"),
             divisors=tuple(divisors),
-            twist=tuple(integer(h, "twist entry") for h in data["twist"]),
+            twist=tuple(integer(h, "twist entry") for h in array(data["twist"], "twist")),
         )
         spec.require_valid()
         return spec
@@ -308,24 +320,25 @@ def chern_class(spec: SeifertSpec) -> tuple[Fraction, ...]:
     """c1 of the total space over the base: twist + sum of (b/m) [D], exact.
 
     Linear in the twist vector; equal to chern_mu(spec) / m(X).
+    Generator divisor classes only.
     """
-    spec.require_valid()
+    spec.require_certified("chern_class")
     m_x = spec.multiplicity_lcm()
     return tuple(Fraction(x, m_x) for x in _chern_mu(spec))
 
 
 def chern_mu(spec: SeifertSpec) -> tuple[int, ...]:
-    """The integral class m(X) * c1, the Chern class of the quotient circle bundle."""
-    spec.require_valid()
+    """The integral class m(X) * c1, the Chern class of the quotient circle
+    bundle.  Generator divisor classes only."""
+    spec.require_certified("chern_mu")
     return _chern_mu(spec)
 
 
 def _chern_mu(spec: SeifertSpec) -> tuple[int, ...]:
-    """m(X) * twist + sum of b * (m(X)/m) [D], for a spec already validated."""
+    """m(X) * twist + sum of b * (m(X)/m) [D], for a certified spec: each
+    divisor adds to the coordinate of its own chart."""
     m_x = spec.multiplicity_lcm()
     coords = [m_x * h for h in spec.twist]
     for d in spec.divisors:
-        weight = d.b * (m_x // d.m)
-        for l, x in enumerate(d.resolved_class(spec.charts)):
-            coords[l] += weight * x
+        coords[d.chart] += d.b * (m_x // d.m)
     return tuple(coords)

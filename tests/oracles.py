@@ -1,12 +1,13 @@
 """Reference implementations that the library replaced, kept as test oracles."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from seifert5.abgroup import AbelianGroup, IntMatrix, group_from_cokernel
 from seifert5.classify import INFINITY, FiveManifoldClass, circle_action_admissible
-from seifert5.cohomology import INDETERMINATE, CohomologyReport, UnknownNonzero
+from seifert5.cohomology import INDETERMINATE, CohomologyReport
 from seifert5.construct import _torsion_profiles, build
 from seifert5.sasakian import (
     DEFAULT_CANDIDATE_CAP,
@@ -128,16 +129,39 @@ def _chern_class_by_fractions(spec):
     return tuple(coords)
 
 
-def _h1_order_reference(spec, c1_mu):
+@dataclass(frozen=True)
+class UnknownNonzero:
+    """The reference's answer when the restriction map is not onto: H_1 is
+    nonzero and surjects onto `lower_bound`, the map's cokernel."""
+
+    lower_bound: AbelianGroup
+
+
+def restriction_map(spec):
+    """H^2(X, Z) -> sum_i H^2(D_i, Z/m_i): row i is the class of D_i read
+    mod m_i (the intersection form of the base is the identity), and the
+    moduli m_i."""
     rows = [tuple(x % d.m for x in d.resolved_class(spec.charts)) for d in spec.divisors]
-    moduli = [d.m for d in spec.divisors]
+    return rows, [d.m for d in spec.divisors]
+
+
+def restriction_is_surjective(spec) -> bool:
+    """For every prime p, the rows with p | m_i are independent over F_p."""
+    rows, moduli = restriction_map(spec)
     for p in sorted({p for m in moduli for p in factorize_by_trial_division(m)}):
         sub = [row for row, m in zip(rows, moduli) if m % p == 0]
         if _rank_mod_p(sub, p) < len(sub):
-            n = len(rows)
-            matrix = [row + tuple(moduli[i] if j == i else 0 for j in range(n))
-                      for i, row in enumerate(rows)]
-            return UnknownNonzero(lower_bound=group_from_cokernel(IntMatrix.from_rows(matrix)))
+            return False
+    return True
+
+
+def _h1_order_reference(spec, c1_mu):
+    if not restriction_is_surjective(spec):
+        rows, moduli = restriction_map(spec)
+        n = len(rows)
+        matrix = [row + tuple(moduli[i] if j == i else 0 for j in range(n))
+                  for i, row in enumerate(rows)]
+        return UnknownNonzero(lower_bound=group_from_cokernel(IntMatrix.from_rows(matrix)))
     return math.gcd(*c1_mu)
 
 

@@ -146,6 +146,19 @@ class TestPrimesAndFactoring:
             assert is_prime(n) == is_prime_by_trial_division(n)
             assert factorize(n) == factorize_by_trial_division(n)
 
+    def test_refused_at_and_beyond_the_proven_bound(self):
+        # Deterministic Miller-Rabin is proven below 3,317,044,064,679,887,385,961,981;
+        # a cofactor at or above it is refused, never left to unbounded work.
+        # The bound itself is the least strong pseudoprime to those 13 bases.
+        bound = 3_317_044_064_679_887_385_961_981
+        for call, n in [(factorize, (10**9 + 7) ** 2 * 999999937), (is_prime, bound),
+                        (factorize, bound)]:
+            with pytest.raises(ValueError, match="3,317,044,064,679,887,385,961,981"):
+                call(n)
+        # Small prime factors are stripped first, so large smooth n still factor.
+        assert factorize(2**100) == {2: 100}
+        assert factorize(3 * 997**10) == {3: 1, 997: 10}
+
     def test_cofactor_one_after_the_last_small_prime(self):
         # 997 is the largest prime below 1000: dividing it out can leave
         # nothing, and no factor 1 may appear.

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -8,7 +7,6 @@ import pytest
 
 from seifert5 import cli
 from seifert5.cli import main
-from seifert5.cohomology import INDETERMINATE
 
 
 def run_cli(capsys, *argv):
@@ -362,6 +360,33 @@ class TestMalformedInput:
         assert err == "internal defect: KeyError: 'x'\n"
 
     @pytest.mark.parametrize(
+        "argv, document, field",
+        [
+            (["gate"], {"torsion": [3], "i": 0}, "torsion entry"),
+            (["gate"], {"torsion": 5, "i": 0}, "torsion"),
+            (["gate"], {"torsion": [{"p": 2}], "i": 0}, "missing torsion field"),
+            (["construct", "--target-i", "0"], [1, 2], "class"),
+            (["sasaki"], [1, 2], "class"),
+            (["verify"], dict(GENUS_TWO_SPEC, divisors=5), "divisors"),
+            (["verify"], dict(GENUS_TWO_SPEC, twist=5), "twist"),
+            (["verify"], dict(GENUS_TWO_SPEC, divisors=[
+                dict(GENUS_TWO_SPEC["divisors"][0], h2_class=3)]), "h2_class"),
+        ],
+    )
+    def test_wrong_shape_names_the_field(self, tmp_path, capsys, argv, document, field):
+        path = write_json(tmp_path, "input.json", document)
+        code, out, err = run_cli(capsys, *argv, path)
+        assert_input_error(code, out, err)
+        assert err.startswith("error: ") and field in err
+
+    def test_multiplicity_beyond_the_primality_bound(self, tmp_path, capsys):
+        spec = json.loads(json.dumps(GENUS_TWO_SPEC))
+        spec["divisors"][0]["m"] = (10**9 + 7) ** 2 * 999999937
+        code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec))
+        assert_input_error(code, out, err)
+        assert err.startswith("error: ") and "3,317,044,064,679,887,385,961,981" in err
+
+    @pytest.mark.parametrize(
         "field, value",
         [("count", 2.5), ("free_rank", True), ("count", "3"), ("p", 5.0), ("e", True)],
     )
@@ -377,20 +402,6 @@ class TestMalformedInput:
 
 
 class TestVerifyExpectUndecided:
-    def test_indeterminate_wu_exits_three(self, tmp_path, monkeypatch, capsys):
-        real = cli.full_report
-        monkeypatch.setattr(
-            cli, "full_report", lambda spec: dataclasses.replace(real(spec), wu=INDETERMINATE)
-        )
-        cls = {"free_rank": 0, "torsion": [{"p": 5, "e": 1, "count": 4}], "i": 0}
-        spec_path = write_json(tmp_path, "spec.json", GENUS_TWO_SPEC)
-        cls_path = write_json(tmp_path, "cls.json", cls)
-        code, out, _ = run_cli(capsys, "verify", "--expect", cls_path, spec_path)
-        assert code == 3
-        doc = json.loads(out)
-        assert doc["match"] is False
-        assert doc["diffs"] == [{"field": "wu", "expected": 0, "actual": "indeterminate"}]
-
     def test_h1_mismatch_lists_one_diff(self, tmp_path, capsys):
         spec = dict(GENUS_TWO_SPEC, twist=[1])
         cls = {"free_rank": 0, "torsion": [{"p": 5, "e": 1, "count": 4}], "i": 0}
