@@ -411,9 +411,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def torsion_only(self) -> "AbelianGroup":
-        return AbelianGroup(0, self.torsion)
-
     def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup(self.free_rank + other.free_rank, self.torsion + other.torsion)
 

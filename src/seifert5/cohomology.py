@@ -3,10 +3,10 @@
 All formulas are the evaluated consequences, on a smooth connected-sum-of-
 CP^2 base, of the spectral sequence of the quotient map f: L -> X.  With
 H^1(X) = H^3(X) = 0 and H^2(X) free they collapse to exact integer linear
-algebra.  The engine certifies generator-class specs only (every divisor is
-the generator of its chart: the standard transverse arrangements, whose
-complements have abelian fundamental group), and every public function
-refuses the rest.  On those specs:
+algebra.  Every SeifertSpec is a generator-class spec (each divisor is the
+generator of its chart: the standard transverse arrangements, whose
+complements have abelian fundamental group), valid by construction, so no
+function here checks its argument.  On those specs:
 
 * The order of H_1(L, Z) is the gcd of the coordinates of the integral
   class c1(L/mu); order one means L is simply connected.  The spectral
@@ -32,12 +32,10 @@ refuses the rest.  On those specs:
   the even-free charts, and w not in K2 certifies INFINITY.  Any
   nonorientable divisor forces Wu invariant 1.
 
-A report is assembled from three facts, each computed once: the spec is
-checked, c1(L/mu) is formed in integers, and, when |H_1| = 1, every
-multiplicity is factored.  The H_2 / H^3 torsion counts read the
-factorizations; |H_1|, the rational c1 = c1(L/mu) / m(X) and the Wu
-certificate read c1(L/mu).  Each public function below checks its argument
-and then runs the same private steps, which never check again.
+A report is assembled from two facts, each computed once: c1(L/mu) is
+formed in integers, and, when |H_1| = 1, every multiplicity is factored.
+The H_2 / H^3 torsion counts read the factorizations; |H_1|, the rational
+c1 = c1(L/mu) / m(X) and the Wu certificate read c1(L/mu).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from typing import NamedTuple
 
 from .abgroup import AbelianGroup, factorize
 from .classify import INFINITY, FiveManifoldClass, encode_i
-from .seifert import Nonorientable, SeifertSpec, _chern_mu, base_w2
+from .seifert import Nonorientable, SeifertSpec, base_w2, chern_mu
 
 __all__ = [
     "INDETERMINATE",
@@ -118,8 +116,7 @@ def h1_order(spec: SeifertSpec) -> int:
     The gcd of the coordinates of c1(L/mu); a primitive class gives
     H_1 = 0.
     """
-    spec.require_certified("h1_order")
-    return math.gcd(*_chern_mu(spec))
+    return math.gcd(*chern_mu(spec))
 
 
 def _torsion_counts(spec: SeifertSpec, factors) -> dict[tuple[int, int], int]:
@@ -136,9 +133,8 @@ def _torsion_counts(spec: SeifertSpec, factors) -> dict[tuple[int, int], int]:
 
 
 def _require_trivial_h1(spec: SeifertSpec, what: str) -> tuple[int, ...]:
-    """Check a spec for an invariant defined when |H_1| = 1; return c1(L/mu)."""
-    spec.require_certified(what)
-    c1_mu = _chern_mu(spec)
+    """c1(L/mu), for an invariant defined only when |H_1| = 1."""
+    c1_mu = chern_mu(spec)
     order = math.gcd(*c1_mu)
     if order != 1:
         raise ValueError(f"{what} requires |H_1| = 1, but h1_order gave {order!r}")
@@ -162,23 +158,18 @@ def h3_torsion(spec: SeifertSpec) -> AbelianGroup:
     return AbelianGroup.from_counts(0, _torsion_counts(spec, _factors(spec)))
 
 
-def _w2(spec: SeifertSpec) -> tuple[int, ...]:
-    coords = [w + h for w, h in zip(base_w2(spec.charts), spec.twist)]
-    for d in spec.divisors:
-        coords[d.chart] += d.b
-    return tuple(x % 2 for x in coords)
-
-
 def w2_class(spec: SeifertSpec) -> tuple[int, ...]:
     """The class over the base whose pullback is w2 of the total space.
 
     Only defined when every divisor is orientable: w = w2(X) + sum b_i [D_i]
     + twist, reduced mod 2, in chart coordinates.
     """
-    spec.require_certified("w2_class")
     if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
         raise ValueError("w2_class needs orientable divisors; use wu_invariant instead")
-    return _w2(spec)
+    coords = [w + h for w, h in zip(base_w2(spec.charts), spec.twist)]
+    for d in spec.divisors:
+        coords[d.chart] += d.b
+    return tuple(x % 2 for x in coords)
 
 
 def _bits(vec) -> int:
@@ -229,7 +220,7 @@ def _even_kernel_span(spec: SeifertSpec, c1_mu: tuple[int, ...]) -> _F2Span:
 def _wu(spec: SeifertSpec, c1_mu: tuple[int, ...]):
     if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
         return 1
-    return 0 if _even_kernel_span(spec, c1_mu).contains(_bits(_w2(spec))) else INFINITY
+    return 0 if _even_kernel_span(spec, c1_mu).contains(_bits(w2_class(spec))) else INFINITY
 
 
 def wu_invariant(spec: SeifertSpec):
@@ -246,12 +237,11 @@ def wu_invariant(spec: SeifertSpec):
 def simply_connected(spec: SeifertSpec) -> bool:
     """Triviality of the fundamental group, via |H_1| = 1.
 
-    Certified only for generator divisor classes: those are the standard
+    Every divisor is the generator of its chart: those are the standard
     transverse arrangements, whose complements have abelian fundamental
     group, so pi_1 vanishes exactly when H_1 does.
     """
-    spec.require_certified("simply_connected")
-    return math.gcd(*_chern_mu(spec)) == 1
+    return h1_order(spec) == 1
 
 
 def _json_value(value):
@@ -293,8 +283,7 @@ def full_report(spec: SeifertSpec) -> CohomologyReport:
     H_2 and the H^3 torsion are present exactly when |H_1| = 1; otherwise
     the Wu invariant is reported INDETERMINATE.
     """
-    spec.require_certified("full_report")
-    c1_mu = _chern_mu(spec)
+    c1_mu = chern_mu(spec)
     order = math.gcd(*c1_mu)
     m_x = spec.multiplicity_lcm()
     c1 = tuple(Fraction(x, m_x) for x in c1_mu)

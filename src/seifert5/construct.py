@@ -211,9 +211,7 @@ def build(cls: FiveManifoldClass) -> SeifertSpec:
         Divisor(chart=e.slot, surface=e.surface(), m=e.m, b=bs[(e.prime, e.slot)])
         for e in sched.entries
     )
-    spec = SeifertSpec(charts=cls.k + 1, divisors=divisors, twist=twist)
-    spec.require_valid()
-    return spec
+    return SeifertSpec(charts=cls.k + 1, divisors=divisors, twist=twist)
 
 
 def verify_roundtrip(cls: FiveManifoldClass) -> CohomologyReport:

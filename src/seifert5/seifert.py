@@ -6,13 +6,14 @@ form, and its second Stiefel-Whitney class is the all-ones vector mod 2 (by
 the Wu identity x.x = w2.x on a closed oriented 4-manifold, applied to the
 identity form).
 
-A presentation consists of branch divisors (each living in a single chart,
-with a surface type, a multiplicity m >= 2 and an orbit invariant b coprime
-to m) plus an integer twist vector: the first Chern class of the background
-line bundle in chart coordinates.  Divisors in the same chart intersect, so
-their multiplicities must be pairwise coprime; divisors in distinct charts
-are disjoint.  Nonorientable divisors only occur with m = 2, since for
-m >= 3 the normal plane bundle is orientable.
+A presentation consists of branch divisors (each representing the
+generator of a single chart, with a surface type, a multiplicity m >= 2 and
+an orbit invariant b coprime to m) plus an integer twist vector: the first
+Chern class of the background line bundle in chart coordinates.  Divisors
+in the same chart intersect, so their multiplicities must be pairwise
+coprime; divisors in distinct charts are disjoint.  Nonorientable divisors
+only occur with m = 2, since for m >= 3 the normal plane bundle is
+orientable.
 
 The rational first Chern class of the total space over the base is
 
@@ -99,35 +100,20 @@ SurfaceType = Union[Orientable, Nonorientable]
 class Divisor:
     """A branch divisor: chart index, surface type, multiplicity and orbit invariant.
 
-    h2_class is the divisor's homology class in chart coordinates; None
-    means the generator of its chart (the default produced by the
-    constructions, and the only case the cohomology certificates cover).
+    Its homology class is the generator of its chart, the only class the
+    constructions produce and the cohomology certificates cover.
     Arithmetic invariants (gcd(b, m) = 1, m >= 2, nonorientable implies
-    m = 2) are checked by SeifertSpec.validate, not here, so invalid data
-    can be represented and rejected with coded issues.
+    m = 2) are checked when a SeifertSpec holding the divisor is built.
     """
 
     chart: int
     surface: SurfaceType
     m: int
     b: int
-    h2_class: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.chart < 0:
             raise ValueError("chart index must be >= 0")
-        if self.h2_class is not None:
-            object.__setattr__(self, "h2_class", tuple(int(x) for x in self.h2_class))
-
-    def resolved_class(self, charts: int) -> tuple[int, ...]:
-        if self.h2_class is not None:
-            return self.h2_class
-        return tuple(1 if l == self.chart else 0 for l in range(charts))
-
-    def is_generator_class(self, charts: int) -> bool:
-        return self.h2_class is None or self.resolved_class(charts) == tuple(
-            1 if l == self.chart else 0 for l in range(charts)
-        )
 
 
 @dataclass(frozen=True)
@@ -156,7 +142,12 @@ def base_w2(charts: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SeifertSpec:
-    """A Seifert bundle presentation over the connected sum of `charts` CP^2's."""
+    """A Seifert bundle presentation over the connected sum of `charts` CP^2's.
+
+    Valid by construction: the constructor raises SpecValidationError with
+    every issue `validate` finds, so no function taking a spec checks it
+    again.
+    """
 
     charts: int
     divisors: tuple[Divisor, ...]
@@ -167,6 +158,9 @@ class SeifertSpec:
             raise ValueError("need at least one chart")
         object.__setattr__(self, "divisors", tuple(self.divisors))
         object.__setattr__(self, "twist", tuple(int(h) for h in self.twist))
+        issues = self.validate()
+        if issues:
+            raise SpecValidationError(issues)
 
     @property
     def k(self) -> int:
@@ -196,10 +190,6 @@ class SeifertSpec:
                 issues.append(
                     SpecIssue(NONORIENTABLE_M, f"divisor {idx} is nonorientable with m = {d.m}")
                 )
-            if d.h2_class is not None and len(d.h2_class) != self.charts:
-                issues.append(
-                    SpecIssue(BAD_H2_CLASS, f"divisor {idx} class has {len(d.h2_class)} coordinates")
-                )
         for a in range(len(self.divisors)):
             for b in range(a + 1, len(self.divisors)):
                 da, db = self.divisors[a], self.divisors[b]
@@ -212,21 +202,6 @@ class SeifertSpec:
                     )
         return issues
 
-    def require_valid(self) -> None:
-        issues = self.validate()
-        if issues:
-            raise SpecValidationError(issues)
-
-    def all_generator_classes(self) -> bool:
-        return all(d.is_generator_class(self.charts) for d in self.divisors)
-
-    def require_certified(self, what: str) -> None:
-        """Validate, and refuse any divisor off the generator of its chart:
-        the invariants are certified for generator classes only."""
-        self.require_valid()
-        if not self.all_generator_classes():
-            raise ValueError(f"{what} is only certified for generator divisor classes")
-
     def to_json_dict(self) -> dict:
         divisors = []
         for d in self.divisors:
@@ -234,15 +209,15 @@ class SeifertSpec:
                 surface = {"orientable": True, "genus": d.surface.genus}
             else:
                 surface = {"orientable": False, "b1": d.surface.b1}
-            entry = {"chart": d.chart, "surface": surface, "m": d.m, "b": d.b}
-            if d.h2_class is not None:
-                entry["h2_class"] = list(d.h2_class)
-            divisors.append(entry)
+            divisors.append({"chart": d.chart, "surface": surface, "m": d.m, "b": d.b})
         return {"charts": self.charts, "divisors": divisors, "twist": list(self.twist)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SeifertSpec":
-        """Strict decoding: unknown fields are rejected by name, and the
+        """Strict decoding: unknown fields are rejected by name, integer
+        fields must be JSON integers and `orientable` a JSON boolean.  An
+        `h2_class` is accepted only as the generator of its divisor's chart,
+        and dropped; any other class is refused with BAD_H2_CLASS.  The
         decoded spec must pass validate()."""
         if not isinstance(data, dict):
             raise SpecSchemaError("spec must be a JSON object")
@@ -262,6 +237,7 @@ class SeifertSpec:
             return value
 
         divisors = []
+        classes: dict[int, tuple[int, ...]] = {}
         for idx, entry in enumerate(array(data["divisors"], "divisors")):
             if not isinstance(entry, dict):
                 raise SpecSchemaError(f"divisor {idx} must be an object")
@@ -274,6 +250,10 @@ class SeifertSpec:
             surf = entry["surface"]
             if not isinstance(surf, dict) or "orientable" not in surf:
                 raise SpecSchemaError(f"divisor {idx} surface must carry 'orientable'")
+            if not isinstance(surf["orientable"], bool):
+                raise SpecSchemaError(
+                    f"divisor {idx} orientable must be true or false, got {surf['orientable']!r}"
+                )
             if surf["orientable"]:
                 extra = set(surf) - {"orientable", "genus"}
                 if extra:
@@ -287,26 +267,28 @@ class SeifertSpec:
                 if "b1" not in surf:
                     raise SpecSchemaError(f"missing field 'b1' in nonorientable surface {idx}")
                 surface = Nonorientable(b1=integer(surf["b1"], f"divisor {idx} b1"))
-            h2_class = None
             if "h2_class" in entry:
-                h2_class = tuple(integer(x, f"divisor {idx} h2_class entry")
-                                 for x in array(entry["h2_class"], f"divisor {idx} h2_class"))
+                classes[idx] = tuple(integer(x, f"divisor {idx} h2_class entry")
+                                     for x in array(entry["h2_class"], f"divisor {idx} h2_class"))
             divisors.append(
                 Divisor(
                     chart=integer(entry["chart"], f"divisor {idx} chart"),
                     surface=surface,
                     m=integer(entry["m"], f"divisor {idx} m"),
                     b=integer(entry["b"], f"divisor {idx} b"),
-                    h2_class=h2_class,
                 )
             )
-        spec = cls(
-            charts=integer(data["charts"], "charts"),
-            divisors=tuple(divisors),
-            twist=tuple(integer(h, "twist entry") for h in array(data["twist"], "twist")),
-        )
-        spec.require_valid()
-        return spec
+        charts = integer(data["charts"], "charts")
+        twist = tuple(integer(h, "twist entry") for h in array(data["twist"], "twist"))
+        issues = [
+            SpecIssue(BAD_H2_CLASS, f"divisor {idx} class {list(h2)} is not the generator "
+                                    f"of chart {divisors[idx].chart} ({charts} charts)")
+            for idx, h2 in classes.items()
+            if h2 != tuple(int(l == divisors[idx].chart) for l in range(charts))
+        ]
+        if issues:
+            raise SpecValidationError(issues)
+        return cls(charts=charts, divisors=tuple(divisors), twist=twist)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -320,23 +302,15 @@ def chern_class(spec: SeifertSpec) -> tuple[Fraction, ...]:
     """c1 of the total space over the base: twist + sum of (b/m) [D], exact.
 
     Linear in the twist vector; equal to chern_mu(spec) / m(X).
-    Generator divisor classes only.
     """
-    spec.require_certified("chern_class")
     m_x = spec.multiplicity_lcm()
-    return tuple(Fraction(x, m_x) for x in _chern_mu(spec))
+    return tuple(Fraction(x, m_x) for x in chern_mu(spec))
 
 
 def chern_mu(spec: SeifertSpec) -> tuple[int, ...]:
     """The integral class m(X) * c1, the Chern class of the quotient circle
-    bundle.  Generator divisor classes only."""
-    spec.require_certified("chern_mu")
-    return _chern_mu(spec)
-
-
-def _chern_mu(spec: SeifertSpec) -> tuple[int, ...]:
-    """m(X) * twist + sum of b * (m(X)/m) [D], for a certified spec: each
-    divisor adds to the coordinate of its own chart."""
+    bundle: m(X) * twist + sum of b * (m(X)/m) [D], where each divisor adds
+    to the coordinate of its own chart."""
     m_x = spec.multiplicity_lcm()
     coords = [m_x * h for h in spec.twist]
     for d in spec.divisors:

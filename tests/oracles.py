@@ -121,10 +121,15 @@ def _rank_mod_p(rows, p):
     return rank
 
 
+def _unit(chart, charts):
+    """The class of a divisor in chart coordinates: the generator of its chart."""
+    return tuple(int(l == chart) for l in range(charts))
+
+
 def _chern_class_by_fractions(spec):
     coords = [Fraction(h) for h in spec.twist]
     for d in spec.divisors:
-        for l, x in enumerate(d.resolved_class(spec.charts)):
+        for l, x in enumerate(_unit(d.chart, spec.charts)):
             coords[l] += Fraction(d.b, d.m) * x
     return tuple(coords)
 
@@ -132,7 +137,8 @@ def _chern_class_by_fractions(spec):
 @dataclass(frozen=True)
 class UnknownNonzero:
     """The reference's answer when the restriction map is not onto: H_1 is
-    nonzero and surjects onto `lower_bound`, the map's cokernel."""
+    nonzero and surjects onto `lower_bound`, the map's cokernel.  Lemma A
+    rules this out on specs, but arbitrary rows reach it."""
 
     lower_bound: AbelianGroup
 
@@ -141,13 +147,12 @@ def restriction_map(spec):
     """H^2(X, Z) -> sum_i H^2(D_i, Z/m_i): row i is the class of D_i read
     mod m_i (the intersection form of the base is the identity), and the
     moduli m_i."""
-    rows = [tuple(x % d.m for x in d.resolved_class(spec.charts)) for d in spec.divisors]
+    rows = [tuple(x % d.m for x in _unit(d.chart, spec.charts)) for d in spec.divisors]
     return rows, [d.m for d in spec.divisors]
 
 
-def restriction_is_surjective(spec) -> bool:
+def restriction_is_surjective(rows, moduli) -> bool:
     """For every prime p, the rows with p | m_i are independent over F_p."""
-    rows, moduli = restriction_map(spec)
     for p in sorted({p for m in moduli for p in factorize_by_trial_division(m)}):
         sub = [row for row, m in zip(rows, moduli) if m % p == 0]
         if _rank_mod_p(sub, p) < len(sub):
@@ -155,9 +160,9 @@ def restriction_is_surjective(spec) -> bool:
     return True
 
 
-def _h1_order_reference(spec, c1_mu):
-    if not restriction_is_surjective(spec):
-        rows, moduli = restriction_map(spec)
+def _h1_order_reference(rows, moduli, c1_mu):
+    """|H_1| from the restriction map (rows, moduli) and c1(L/mu)."""
+    if not restriction_is_surjective(rows, moduli):
         n = len(rows)
         matrix = [row + tuple(moduli[i] if j == i else 0 for j in range(n))
                   for i, row in enumerate(rows)]
@@ -187,14 +192,14 @@ def _wu_reference(spec, c1_mu):
         return 1
     coords = [1 + h for h in spec.twist]
     for d in spec.divisors:
-        for l, x in enumerate(d.resolved_class(spec.charts)):
+        for l, x in enumerate(_unit(d.chart, spec.charts)):
             coords[l] += d.b * x
     w = _bits(coords)
     k2: list[int] = []
     _f2_add(k2, _bits(c1_mu))
     for d in spec.divisors:
         if d.m % 2 == 0:
-            _f2_add(k2, _bits(d.resolved_class(spec.charts)))
+            _f2_add(k2, _bits(_unit(d.chart, spec.charts)))
     if _f2_reduce(k2, w) == 0:
         return 0
     even_charts = {d.chart for d in spec.divisors if d.m % 2 == 0}
@@ -208,15 +213,12 @@ def _wu_reference(spec, c1_mu):
 def full_report_reference(spec) -> CohomologyReport:
     """The report as it was assembled before its facts were shared:
     c1 in fractions, c1(L/mu) by scaling it, |H_1| from the restriction
-    map over trial-division primes, H_2 and H^3 torsion counted apiece.
-    Generator-class specs only, as `full_report`."""
-    spec.require_valid()
-    assert spec.all_generator_classes()
+    map over trial-division primes, H_2 and H^3 torsion counted apiece."""
     m_x = spec.multiplicity_lcm()
     c1 = _chern_class_by_fractions(spec)
     c1_mu = tuple(int(c * m_x) for c in c1)
     assert all((c * m_x).denominator == 1 for c in c1)
-    order = _h1_order_reference(spec, c1_mu)
+    order = _h1_order_reference(*restriction_map(spec), c1_mu)
     if order != 1:
         return CohomologyReport(order, None, None, c1, c1_mu, INDETERMINATE, False)
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -296,6 +297,55 @@ class TestEnumerate:
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestReadmeExamples:
+    """The CLI examples of the README: exit code and stdout sha256, pinned."""
+
+    CLASS = {"free_rank": 0, "torsion": [{"p": 5, "e": 1, "count": 4}], "i": 0}
+    GROUP = {"free_rank": 0, "torsion": CLASS["torsion"]}
+
+    @pytest.mark.parametrize(
+        "argv, stdin, fmt, digest",
+        [
+            (["gate"], CLASS, "json",
+             "345f3ba3ec51192d5f6c31fd775a68868913a431a5cb65047aaa35abb04670d0"),
+            (["gate"], CLASS, "text",
+             "37bf0450cf2570f2f78014fe973cfba7e186131d2547079d577cd58030a092b7"),
+            (["construct", "--target-i", "0", "--verify"], GROUP, "json",
+             "e7652c27085ffd3556b234868e9007e6a7949c3017807bc57ed945ec88914c61"),
+            (["construct", "--target-i", "0", "--verify"], GROUP, "text",
+             "055b733ddf546db6824f82a1db7e39690375df91c6558522fc2b2a88199dfe05"),
+            (["local", "--m", "12", "--exponents", "3,4"], None, "json",
+             "1c50f9a442f68735f5a33de2357df0d393135f6513ac35b018214ebeaa13faf4"),
+            (["local", "--m", "12", "--exponents", "3,4"], None, "text",
+             "86fe7900529f6db5d2c4a87b0ae9959c05bbcdef89cadd416cd59f44a8787c61"),
+            (["sasaki", "--values", "2,6,12,20,30"], None, "json",
+             "01d208b0e00d349275338670a39b7a5453b73c5c78ba519d6d1d77686dd318dd"),
+            (["sasaki", "--values", "2,6,12,20,30"], None, "text",
+             "805e52efcdca2ffb41f2e05d9cfba0057af526441c824eb72cd989b4c04fcf83"),
+            (["enumerate", "--max-torsion-order", "16", "--max-k", "1"], None, "json",
+             "2729675690e75d9726bf85a7723ce84eb0346b87149c577a4ff50ea9c1b5516e"),
+            (["enumerate", "--max-torsion-order", "16", "--max-k", "1"], None, "text",
+             "2fa078f65e46ad5739ab32e37486f5cc044dca6dbcba24c61b220c79d8ae7de7"),
+            (["verify", "{spec}"], None, "json",
+             "4f5283209fdf3c60181b8c1a3fad6ad2311e5c7a5b9628c8d2f1fea4a681eeab"),
+            (["verify", "{spec}"], None, "text",
+             "f79b4ab2758fae9f413391000e354cd518403c57b560b6c45329c21189874f3b"),
+            (["verify", "--expect", "{class}", "{spec}"], None, "json",
+             "e07bc2b89ca0df581c705e7b258cef95bd305ea4f379d61c4016ebed0e13c311"),
+            (["verify", "--expect", "{class}", "{spec}"], None, "text",
+             "8c2033d557d65d18df9247264f83c23715b322718c1540aa575c3b6e814de270"),
+        ],
+    )
+    def test_golden(self, tmp_path, capsys, monkeypatch, argv, stdin, fmt, digest):
+        paths = {"{spec}": write_json(tmp_path, "spec.json", GENUS_TWO_SPEC),
+                 "{class}": write_json(tmp_path, "class.json", self.CLASS)}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin) if stdin else ""))
+        argv = [argv[0], "--format", fmt] + [paths.get(a, a) for a in argv[1:]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = write_json(tmp_path, "cls.json", HOMOLOGY_SPHERE)
@@ -378,6 +428,20 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, *argv, path)
         assert_input_error(code, out, err)
         assert err.startswith("error: ") and field in err
+
+    def test_non_generator_h2_class(self, tmp_path, capsys):
+        spec = json.loads(json.dumps(GENUS_TWO_SPEC))
+        spec["divisors"][0]["h2_class"] = [2]
+        code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec))
+        assert_input_error(code, out, err)
+        assert err.startswith("error: BAD_H2_CLASS: divisor 0 class [2]")
+
+    def test_non_boolean_orientable(self, tmp_path, capsys):
+        spec = json.loads(json.dumps(GENUS_TWO_SPEC))
+        spec["divisors"][0]["surface"] = {"orientable": "false"}
+        code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec))
+        assert_input_error(code, out, err)
+        assert err == "error: divisor 0 orientable must be true or false, got 'false'\n"
 
     def test_multiplicity_beyond_the_primality_bound(self, tmp_path, capsys):
         spec = json.loads(json.dumps(GENUS_TWO_SPEC))

@@ -20,10 +20,12 @@ from seifert5.cohomology import (
 )
 from seifert5.construct import build, enumerate_admissible
 from seifert5.seifert import (
+    BAD_H2_CLASS,
     Divisor,
     Nonorientable,
     Orientable,
     SeifertSpec,
+    SpecValidationError,
     chern_class,
     chern_mu,
 )
@@ -92,7 +94,7 @@ class TestRestriction:
             checked += 1
             assert brute_force_surjective(rows, moduli, spec.charts)
             c1_mu = chern_mu(spec)
-            assert h1_order(spec) == math.gcd(*c1_mu) == _h1_order_reference(spec, c1_mu)
+            assert h1_order(spec) == math.gcd(*c1_mu) == _h1_order_reference(rows, moduli, c1_mu)
 
 
 class TestH1:
@@ -114,16 +116,8 @@ class TestH1:
     def test_unknown_nonzero(self):
         # Off the generator classes the restriction map can fail to be onto,
         # and the reference answers with its cokernel: the case Lemma A rules
-        # out for the specs the library certifies.
-        spec = SeifertSpec(
-            charts=2,
-            divisors=(
-                Divisor(0, Orientable(0), 3, 1, h2_class=(1, 1)),
-                Divisor(1, Orientable(0), 3, 1, h2_class=(2, 2)),
-            ),
-            twist=(1, 0),
-        )
-        res = _h1_order_reference(spec, (6, 3))
+        # out for every spec.  Rows (1, 1) and (2, 2) mod 3 are such classes.
+        res = _h1_order_reference([(1, 1), (2, 2)], [3, 3], (6, 3))
         assert isinstance(res, UnknownNonzero)
         assert res.lower_bound == AbelianGroup.from_counts(0, {(3, 1): 1})
 
@@ -246,17 +240,19 @@ class TestWu:
                         continue
                     b = rng.choice([x for x in range(1, m) if math.gcd(x, m) == 1])
                     divisors.append(Divisor(chart, Orientable(rng.randint(0, 2)), m, b))
-            spec = SeifertSpec(
-                charts=charts,
-                divisors=tuple(divisors),
-                twist=tuple(rng.randint(-2, 2) for _ in range(charts)),
-            )
-            if spec.validate() or h1_order(spec) != 1:
+            try:
+                spec = SeifertSpec(
+                    charts=charts,
+                    divisors=tuple(divisors),
+                    twist=tuple(rng.randint(-2, 2) for _ in range(charts)),
+                )
+            except SpecValidationError:
+                continue
+            if h1_order(spec) != 1:
                 continue
             result = wu_invariant(spec)
-            k2_vectors = [chern_mu(spec)] + [
-                d.resolved_class(charts) for d in divisors if d.m % 2 == 0
-            ]
+            unit = [tuple(int(l == j) for l in range(charts)) for j in range(charts)]
+            k2_vectors = [chern_mu(spec)] + [unit[d.chart] for d in divisors if d.m % 2 == 0]
             w = w2_class(spec)
             in_k2 = coset_membership_oracle(w, k2_vectors, charts)
             assert result == (0 if in_k2 else INFINITY)
@@ -265,7 +261,6 @@ class TestWu:
             # Lemma B: K2 plus the even-free charts spans all of F_2^charts,
             # so the INFINITY certificate applies to every w outside K2.
             even_charts = {d.chart for d in divisors if d.m % 2 == 0}
-            unit = [tuple(int(l == j) for l in range(charts)) for j in range(charts)]
             extended = k2_vectors + [unit[j] for j in range(charts) if j not in even_charts]
             assert all(coset_membership_oracle(e, extended, charts) for e in unit)
         assert zeros >= 40 and infs >= 40
@@ -290,28 +285,26 @@ class TestSimplyConnected:
         assert not simply_connected(spec_of([Divisor(0, Orientable(0), 3, 1)], [1]))
         assert simply_connected(spec_of([], [1]))
 
-    def test_refuses_non_generator_classes(self):
-        spec = SeifertSpec(
-            charts=2,
-            divisors=(Divisor(0, Orientable(0), 3, 1, h2_class=(1, 1)),),
-            twist=(1, 0),
-        )
-        with pytest.raises(ValueError, match="generator"):
-            simply_connected(spec)
-
 
 @pytest.mark.parametrize(
     "invariant",
     [h1_order, h2_group, h3_torsion, w2_class, wu_invariant, full_report, chern_class, chern_mu],
 )
 def test_invariants_refuse_non_generator_classes(invariant):
-    spec = SeifertSpec(
-        charts=2,
-        divisors=(Divisor(0, Orientable(0), 3, 1, h2_class=(1, 1)),),
-        twist=(0, 1),
-    )
-    with pytest.raises(ValueError, match=f"^{invariant.__name__} is only certified for generator"):
-        invariant(spec)
+    # A non-generator class is refused when the spec is decoded, so no invariant
+    # ever sees one; the generator class of the divisor's chart changes nothing.
+    def data(h2_class=None):
+        divisor = {"chart": 0, "surface": {"orientable": True, "genus": 0}, "m": 3, "b": 1}
+        if h2_class is not None:
+            divisor["h2_class"] = h2_class
+        return {"charts": 2, "divisors": [divisor], "twist": [0, 1]}
+
+    with pytest.raises(SpecValidationError) as err:
+        invariant(SeifertSpec.from_json_dict(data([1, 1])))
+    assert [i.code for i in err.value.issues] == [BAD_H2_CLASS]
+    bare = SeifertSpec.from_json_dict(data())
+    assert h1_order(bare) == 1
+    assert invariant(SeifertSpec.from_json_dict(data([1, 0]))) == invariant(bare)
 
 
 class TestFullReport:
@@ -416,7 +409,8 @@ class TestNecessity:
             spec = _random_generator_spec(rng)
             report = full_report(spec)
             c1_mu = chern_mu(spec)
-            assert _h1_order_reference(spec, c1_mu) == report.h1_order  # Lemma A
+            rows, moduli = restriction_map(spec)
+            assert _h1_order_reference(rows, moduli, c1_mu) == report.h1_order  # Lemma A
             if report.h1_order != 1:
                 continue
             simply_connected_count += 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from seifert5.seifert import (
+    BAD_H2_CLASS,
     BAD_ORBIT_INVARIANT,
     COPRIMALITY,
     NONORIENTABLE_M,
@@ -44,16 +45,22 @@ def random_valid_spec(rng, max_charts=3):
     return SeifertSpec(charts=charts, divisors=tuple(divisors), twist=twist)
 
 
+def issue_codes(divisors, twist, charts=1):
+    """The issue codes the constructor raises for this presentation."""
+    with pytest.raises(SpecValidationError) as err:
+        SeifertSpec(charts=charts, divisors=tuple(divisors), twist=tuple(twist))
+    return [i.code for i in err.value.issues]
+
+
 class TestValidate:
     def test_coprimality(self):
-        spec = simple_spec(
+        codes = issue_codes(
             [
                 Divisor(0, Orientable(0), 2, 1),
                 Divisor(0, Orientable(0), 4, 1),
             ],
             [0],
         )
-        codes = [i.code for i in spec.validate()]
         assert COPRIMALITY in codes
 
     def test_single_divisor_ok(self):
@@ -61,13 +68,11 @@ class TestValidate:
         assert spec.validate() == []
 
     def test_nonorientable_multiplicity(self):
-        spec = simple_spec([Divisor(0, Nonorientable(1), 3, 1)], [0])
-        codes = [i.code for i in spec.validate()]
+        codes = issue_codes([Divisor(0, Nonorientable(1), 3, 1)], [0])
         assert NONORIENTABLE_M in codes
 
     def test_bad_orbit_invariant(self):
-        spec = simple_spec([Divisor(0, Orientable(0), 4, 2)], [0])
-        codes = [i.code for i in spec.validate()]
+        codes = issue_codes([Divisor(0, Orientable(0), 4, 2)], [0])
         assert codes == [BAD_ORBIT_INVARIANT]
 
     def test_distinct_charts_do_not_clash(self):
@@ -162,15 +167,39 @@ class TestJson:
             SeifertSpec.from_json_dict(data)
         assert any(i.code == BAD_ORBIT_INVARIANT for i in err.value.issues)
 
-    def test_explicit_class_round_trips(self):
-        spec = SeifertSpec(
-            charts=2,
-            divisors=(Divisor(0, Orientable(1), 3, 1, h2_class=(1, 2)),),
-            twist=(0, 0),
-        )
-        raw = spec.to_json()
-        assert json.loads(raw)["divisors"][0]["h2_class"] == [1, 2]
-        assert SeifertSpec.from_json(raw) == spec
+    def test_generator_class_is_dropped(self):
+        bare = {
+            "charts": 2,
+            "divisors": [{"chart": 1, "surface": {"orientable": True, "genus": 1}, "m": 3, "b": 1}],
+            "twist": [0, 0],
+        }
+        explicit = json.loads(json.dumps(bare))
+        explicit["divisors"][0]["h2_class"] = [0, 1]
+        spec = SeifertSpec.from_json_dict(explicit)
+        assert spec == SeifertSpec.from_json_dict(bare)
+        assert spec.to_json_dict() == bare
+
+    @pytest.mark.parametrize("h2_class", [[1, 1], [1, 0], [0, 2], [0, -1], [1], [0, 1, 0]])
+    def test_non_generator_class_refused(self, h2_class):
+        data = {
+            "charts": 2,
+            "divisors": [{"chart": 1, "surface": {"orientable": True, "genus": 1}, "m": 3, "b": 1,
+                          "h2_class": h2_class}],
+            "twist": [0, 0],
+        }
+        with pytest.raises(SpecValidationError) as err:
+            SeifertSpec.from_json_dict(data)
+        assert [i.code for i in err.value.issues] == [BAD_H2_CLASS]
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_orientable_must_be_boolean(self, value):
+        data = {
+            "charts": 1,
+            "divisors": [{"chart": 0, "surface": {"orientable": value}, "m": 5, "b": 1}],
+            "twist": [0],
+        }
+        with pytest.raises(SpecSchemaError, match="divisor 0 orientable must be true or false"):
+            SeifertSpec.from_json_dict(data)
 
     @pytest.mark.parametrize("value", [2.5, True, "3"])
     @pytest.mark.parametrize(
