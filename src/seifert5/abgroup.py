@@ -369,7 +369,7 @@ class AbelianGroup:
         for p, e, c in self.torsion:
             PrimePower(p, e)
             if c < 0:
-                raise ValueError("negative torsion count")
+                raise ValueError(f"torsion count must be >= 0, got {c}")
             if c:
                 merged[(p, e)] = merged.get((p, e), 0) + c
         object.__setattr__(
@@ -449,7 +449,7 @@ class AbelianGroup:
         torsion = data.get("torsion", [])
         if not isinstance(torsion, list):
             raise ValueError(f"torsion must be a list, got {torsion!r}")
-        counts: dict[tuple[int, int], int] = {}
+        summands = []
         for entry in torsion:
             if not isinstance(entry, dict):
                 raise ValueError(f"torsion entry must be an object, got {entry!r}")
@@ -459,9 +459,10 @@ class AbelianGroup:
             missing = {"p", "e", "count"} - set(entry)
             if missing:
                 raise ValueError(f"missing torsion field {sorted(missing)[0]!r}")
-            key = (_json_int(entry["p"], "torsion p"), _json_int(entry["e"], "torsion e"))
-            counts[key] = counts.get(key, 0) + _json_int(entry["count"], "torsion count")
-        return cls.from_counts(_json_int(data.get("free_rank", 0), "free_rank"), counts)
+            p, e, count = (_json_int(entry[k], f"torsion {k}") for k in ("p", "e", "count"))
+            summands.append((p, e, count))
+        # The constructor refuses each negative count before it sums duplicates.
+        return cls(_json_int(data.get("free_rank", 0), "free_rank"), tuple(summands))
 
     def __str__(self) -> str:
         parts = []

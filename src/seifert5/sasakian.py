@@ -33,11 +33,25 @@ the line through (t2, s2) and (t3, s3), with slope a = (s2 - s3)/(t2 - t3)
 and b = s2 - a*t2.  So b is an integer whenever a is, and the one
 divisibility test (t2 - t3) | (s2 - s3) decides each divisor pair.
 Pairs whose slope is not a positive integer are discarded; the rest are
-scored by how many values they miss.  Small inputs (fewer than
-budget + 3 distinct values) are additionally seeded with the one- and
-two-point families q = (v2 - v1)*t^2 + v1 and q = t^2 + v1, which always
-exist.  All checks are exact integer arithmetic; the bound comparisons
-square both sides instead of taking roots.
+scored by how many values they miss.
+
+Half of the divisor pairs suffice.  The reflection q(t) -> q(-t) maps
+a*t^2 + b*t + c to a*t^2 - b*t + c with the same image, and the pair
+(-t2, -t3) interpolates exactly that reflection of what (t2, t3) gives.
+So only pairs with t2 > 0 are interpolated, and each result is scored
+as (a, -|b|, v1): both signs miss the same values, and -|b| ranks first
+on the reported key (exceptions, a, |b|, b, c), so the reported witness
+is the one the full set of pairs would give.  Scoring is pruned without
+changing that witness either: a candidate beats the best so far only by
+missing fewer values, or as many with a smaller (a, |b|, b, c), so its
+scan stops once it misses more than that allows, and a candidate ranked
+after a best with no exceptions is not scanned at all.
+
+Small inputs (fewer than budget + 3 distinct values) are additionally
+seeded with the one- and two-point families q = (v2 - v1)*t^2 + v1 and
+q = t^2 + v1, which always exist.  All checks are exact integer
+arithmetic; the bound comparisons square both sides instead of taking
+roots.
 """
 
 from __future__ import annotations
@@ -213,7 +227,8 @@ def quadratic_cover_search(
     (number of exceptions, a, |b|, b, c), which keeps the output stable.
     Raises InconclusiveSearch if the candidate cap is hit before any witness
     was found; a witness found before the cap is still valid but need not
-    minimize the key, and is returned.
+    minimize the key, and is returned.  The cap counts candidates up to the
+    reflection q(t) -> q(-t).
     Raises ValueError if max_exceptions < 0 or max_candidates < 1.
 
     >>> q, exc = quadratic_cover_search([(i - 1) * (i - 2) for i in range(3, 13)])
@@ -250,14 +265,17 @@ def _cover_search(
             return
         seen.add(key3)
         tried += 1
-        # A candidate missing more values than the best so far cannot win.
-        budget = max_exceptions if best is None else best[0][0]
+        tail = (a, abs(b), b, c)
+        budget = max_exceptions
+        if best is not None:
+            # To win, a candidate must miss no more values than the best so
+            # far, and strictly fewer when it ranks after it on the tail.
+            budget = best[0][0] - (tail > best[0][1:])
+            if budget < 0:
+                return
         missed = _missed(a, b, c, scan, budget)
-        if missed is None:
-            return
-        score = (len(missed), a, abs(b), b, c)
-        if best is None or score < best[0]:
-            best = (score, missed)
+        if missed is not None:
+            best = ((len(missed), *tail), missed)
 
     def result() -> tuple[Quadratic, frozenset[int]]:
         (_, a, _, b, c), missed = best
@@ -266,8 +284,8 @@ def _cover_search(
     pool = vs[: max_exceptions + 3]
 
     # Pairs (t, w // t) for the signed divisors t of a difference w, in the
-    # order d, -d by ascending d; each list is built once per call because
-    # every i2 reuses the i3 differences.
+    # order d, -d by ascending d, so the even slots hold t > 0; each list is
+    # built once per call because every i2 reuses the i3 differences.
     divisor_pairs: dict[int, list[tuple[int, int]]] = {}
 
     def pairs(w: int) -> list[tuple[int, int]]:
@@ -285,7 +303,9 @@ def _cover_search(
     for i1 in range(len(pool)):
         v1 = pool[i1]
         for i2 in range(i1 + 1, len(pool)):
-            pairs2 = pairs(pool[i2] - v1)
+            # The reflection (t2, t3) -> (-t2, -t3) turns b into -b, so
+            # t2 > 0 reaches every candidate up to the sign of b.
+            pairs2 = pairs(pool[i2] - v1)[::2]
             for i3 in range(i2 + 1, len(pool)):
                 pairs3 = pairs(pool[i3] - v1)
                 for t2, s2 in pairs2:
@@ -303,7 +323,8 @@ def _cover_search(
                         if (s2 - s3) % (t2 - t3) == 0:
                             ab = _interpolate(t2, s2, t3, s3)
                             if ab is not None:
-                                consider(ab[0], ab[1], v1)
+                                # Both signs miss the same values; -|b| ranks first.
+                                consider(ab[0], -abs(ab[1]), v1)
 
     return (None if best is None else result()), True
 

@@ -308,6 +308,26 @@ def quadratic_cover_search_reference(
     (number of exceptions, a, |b|, b, c), which keeps the output stable.
     Raises InconclusiveSearch if the candidate cap is hit first.
     """
+    return _reference_search(values, max_exceptions, max_candidates, reflect=False)
+
+
+def reflected_cover_search_reference(
+    values: Iterable[int],
+    max_exceptions: int = MAX_EXCEPTIONAL_VALUES,
+    max_candidates: int = DEFAULT_CANDIDATE_CAP,
+) -> Optional[tuple[Quadratic, frozenset[int]]]:
+    """quadratic_cover_search_reference over the divisor pairs with t2 > 0,
+    each interpolated quadratic replaced by its reflection with b = -|b|.
+
+    Uncapped it returns what the unreflected reference returns; under a
+    cap it counts candidates up to the reflection q(t) -> q(-t).
+    """
+    return _reference_search(values, max_exceptions, max_candidates, reflect=True)
+
+
+def _reference_search(
+    values: Iterable[int], max_exceptions: int, max_candidates: int, reflect: bool
+) -> Optional[tuple[Quadratic, frozenset[int]]]:
     vs = sorted(set(values))
     if not vs:
         return Quadratic(1, 0, 0), frozenset()
@@ -364,7 +384,7 @@ def quadratic_cover_search_reference(
         v1 = pool[i1]
         for i2 in range(i1 + 1, len(pool)):
             w2 = pool[i2] - v1
-            t2_choices = arguments(w2)
+            t2_choices = [t for t in arguments(w2) if t > 0 or not reflect]
             for i3 in range(i2 + 1, len(pool)):
                 w3 = pool[i3] - v1
                 t3_choices = arguments(w3)
@@ -380,7 +400,7 @@ def quadratic_cover_search_reference(
                             raise InconclusiveSearch(tried)
                         q = _interpolate(t2, v1, w2, t3, w3)
                         if q is not None:
-                            consider(q)
+                            consider(Quadratic(q.a, -abs(q.b), q.c) if reflect else q)
 
     if best is None:
         return None

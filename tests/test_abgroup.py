@@ -322,6 +322,20 @@ class TestAbelianGroupBasics:
         with pytest.raises(ValueError, match="rank"):
             AbelianGroup.from_json_dict({"free_rank": 0, "torsion": [], "rank": 3})
 
+    def test_json_refuses_negative_count_before_summing(self):
+        # a second entry for the same (p, e) used to offset a negative count
+        for torsion in (
+            [{"p": 5, "e": 1, "count": 2}, {"p": 5, "e": 1, "count": -2}],
+            [{"p": 5, "e": 1, "count": -1}, {"p": 5, "e": 1, "count": 3}],
+            [{"p": 5, "e": 1, "count": -1}],
+        ):
+            with pytest.raises(ValueError, match="torsion count must be >= 0"):
+                AbelianGroup.from_json_dict({"free_rank": 0, "torsion": torsion})
+        summed = AbelianGroup.from_json_dict({"torsion": [
+            {"p": 5, "e": 1, "count": 2}, {"p": 5, "e": 1, "count": 0},
+            {"p": 5, "e": 1, "count": 1}, {"p": 3, "e": 2, "count": 0}]})
+        assert summed == AbelianGroup.from_counts(0, {(5, 1): 3})
+
     def test_str(self):
         assert str(AbelianGroup.trivial()) == "0"
         assert str(AbelianGroup.from_counts(1, {(5, 1): 2})) == "Z + (Z/5)^2"

@@ -391,6 +391,14 @@ class TestMalformedInput:
         cls = dict(HOMOLOGY_SPHERE, free_rank="1")
         assert_input_error(*run_cli(capsys, "gate", write_json(tmp_path, "cls.json", cls)))
 
+    def test_negative_count_offset_by_another_entry(self, tmp_path, capsys):
+        # used to decode to the trivial group and answer admissible, exit 0
+        torsion = [{"p": 5, "e": 1, "count": 2}, {"p": 5, "e": 1, "count": -2}]
+        path = write_json(tmp_path, "cls.json", {"torsion": torsion, "i": 0})
+        code, out, err = run_cli(capsys, "gate", path)
+        assert_input_error(code, out, err)
+        assert err == "error: torsion count must be >= 0, got -2\n"
+
     def test_construct_on_a_list(self, tmp_path, capsys):
         path = write_json(tmp_path, "cls.json", [1, 2])
         assert_input_error(*run_cli(capsys, "construct", "--target-i", "0", path))

@@ -17,6 +17,7 @@ from oracles import (
     divisors_by_trial_division,
     quadratic_cover_search_reference,
     quadratic_interval_count,
+    reflected_cover_search_reference,
 )
 
 
@@ -123,11 +124,12 @@ class TestCoverSearch:
             quadratic_cover_search(range(2, 61, 2), max_candidates=10)
 
     def test_witness_found_before_cap_is_kept(self):
-        # plenty of candidates, but a perfect witness appears early
-        q, exceptions = quadratic_cover_search(degree_family(10), max_candidates=400)
+        # plenty of candidates, but a perfect witness appears early; the
+        # complete search counts fewer than 300 candidates up to reflection
+        q, exceptions = quadratic_cover_search(degree_family(10), max_candidates=200)
         assert all(q.contains(v) for v in degree_family(10))
         # the report keeps the witness but does not claim exhaustion
-        report = sasaki_check(degree_family(10), max_candidates=400)
+        report = sasaki_check(degree_family(10), max_candidates=200)
         assert report.feasible
         assert (report.witness, report.exceptions) == (q, exceptions)
         assert not report.search_complete
@@ -169,6 +171,32 @@ class TestCoverSearch:
         assert calls
         assert len(calls) == len(set(calls))
 
+    def test_interpolates_half_the_pairs_and_scores_b_nonpositive(self, monkeypatch):
+        # q(t) and q(-t) have the same image, so only t2 > 0 is
+        # interpolated and each candidate is scored as its reflection with
+        # b <= 0; no candidate is scanned with a negative budget.
+        interpolated, scored = [], []
+        interpolate, missed = sasakian._interpolate, sasakian._missed
+
+        def spy_interpolate(t2, s2, t3, s3):
+            ab = interpolate(t2, s2, t3, s3)
+            interpolated.append((t2, ab))
+            return ab
+
+        def spy_missed(a, b, c, values, budget):
+            scored.append((b, budget))
+            return missed(a, b, c, values, budget)
+
+        monkeypatch.setattr(sasakian, "_interpolate", spy_interpolate)
+        monkeypatch.setattr(sasakian, "_missed", spy_missed)
+        for values in (degree_family(12), [1, 4, 11, 22, 37], [2, 3, 5, 9, 14, 30, 31]):
+            for budget in (0, 2):
+                quadratic_cover_search(values, max_exceptions=budget)
+        assert all(t2 > 0 for t2, _ in interpolated)
+        assert any(ab is not None and ab[1] > 0 for _, ab in interpolated)
+        assert all(b <= 0 and budget >= 0 for b, budget in scored)
+        assert any(b < 0 for b, _ in scored)
+
     def test_divisors_match_brute_force(self):
         rng = random.Random(101)
         primes = [2, 3, 5, 7, 97, 65537, 999_983, 1_000_000_007]
@@ -182,8 +210,10 @@ class TestCoverSearch:
             assert sasakian._divisors(n) == divisors_by_trial_division(n), n
 
     def test_matches_reference_search(self):
-        # Same witness, exceptions, None or InconclusiveSearch count as the
-        # search that interpolated on bare divisors, under every cap.
+        # Same witness, exceptions or None as the search that interpolated
+        # on bare divisors; under a cap, the same witness or
+        # InconclusiveSearch count as that search over t2 > 0 with b = -|b|,
+        # which counts candidates up to the reflection q(t) -> q(-t).
         rng = random.Random(103)
         value_sets = [
             sorted(rng.sample(range(1, hi), rng.randint(1, 9)))
@@ -203,7 +233,9 @@ class TestCoverSearch:
             for budget in (0, 2, 10):
                 for cap in (1, 7, 300, None):
                     got = outcome(quadratic_cover_search, values, budget, cap)
-                    want = outcome(quadratic_cover_search_reference, values, budget, cap)
+                    reference = (quadratic_cover_search_reference if cap is None
+                                 else reflected_cover_search_reference)
+                    want = outcome(reference, values, budget, cap)
                     assert got == want, (values, budget, cap)
 
     def test_completeness_against_brute_force(self):
