@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -169,9 +170,17 @@ def _cmd_local(args) -> int:
     return EXIT_YES
 
 
+def _decimal(item: str) -> int:
+    # int() would also take "1_000", "+5", " 5" and non-ASCII digits.
+    if re.fullmatch(r"-?[0-9]+", item) is None:
+        raise ValueError(f"--values item {item!r} is not an integer "
+                         "(ASCII digits, optional leading '-')")
+    return int(item)
+
+
 def _cmd_sasaki(args) -> int:
     if args.values is not None:
-        values = [int(x) for x in args.values.split(",")]
+        values = [_decimal(x) for x in args.values.split(",")]
     else:
         group = _group_of(_parse_json(_read_input(args.input)))
         if group.free_rank != 0:

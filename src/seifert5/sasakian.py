@@ -47,6 +47,16 @@ missing fewer values, or as many with a smaller (a, |b|, b, c), so its
 scan stops once it misses more than that allows, and a candidate ranked
 after a best with no exceptions is not scanned at all.
 
+Two cuts keep that witness too.  The candidates of one image share a and
+b^2 - 4ac, so the one built from its smallest covered value v1 has the
+least |b| and c, and the next two covered values v2, v3 yield it.  A
+witness that beats a best missing e values misses at most e, so v1, v2,
+v3 lie at indices at most e, e + 1 and e + 2: the loops stop there.  And
+with g = s2 - t2 the slope is at least 1 exactly when t3 > t2 or t3 < 0,
+and t3*(t3 + g) <= w3 (for 0 < t3 < t2, t3*(t3 + g) < t2*(t2 + g) = w2 <
+w3).  Once positive, t3*(t3 + g) grows with |t3|, so each side is a
+leading run of the divisors by ascending |t3|; no other pair is tested.
+
 Small inputs (fewer than budget + 3 distinct values) are additionally
 seeded with the one- and two-point families q = (v2 - v1)*t^2 + v1 and
 q = t^2 + v1, which always exist.  All checks are exact integer
@@ -57,6 +67,7 @@ roots.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -192,16 +203,15 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _interpolate(t2: int, s2: int, t3: int, s3: int) -> Optional[tuple[int, int]]:
+def _interpolate(t2: int, s2: int, t3: int, s3: int) -> tuple[int, int]:
     """(a, b) of the quadratic a*t^2 + b*t + v1 through (0, v1),
-    (t2, v1 + t2*s2) and (t3, v1 + t3*s3), if a >= 1.
+    (t2, v1 + t2*s2) and (t3, v1 + t3*s3).
 
     Requires t2 - t3 to divide s2 - s3, which the caller tests first: then
     s = a*t + b at both arguments makes a the integer slope and b integral.
+    The caller's cut also ensures a >= 1.
     """
     a = (s2 - s3) // (t2 - t3)
-    if a < 1:
-        return None
     return a, s2 - a * t2
 
 
@@ -228,7 +238,7 @@ def quadratic_cover_search(
     Raises InconclusiveSearch if the candidate cap is hit before any witness
     was found; a witness found before the cap is still valid but need not
     minimize the key, and is returned.  The cap counts candidates up to the
-    reflection q(t) -> q(-t).
+    reflection q(t) -> q(-t), and only those the pruning still tries.
     Raises ValueError if max_exceptions < 0 or max_candidates < 1.
 
     >>> q, exc = quadratic_cover_search([(i - 1) * (i - 2) for i in range(3, 13)])
@@ -252,46 +262,45 @@ def _cover_search(
     # Scan from the largest value down: bad candidates run out of budget fast.
     scan = vs[::-1]
 
-    # best = (score, missed); the score (exceptions, a, |b|, b, c) names
-    # the quadratic, which is built only for the returned witness.
-    best: Optional[tuple[tuple[int, int, int, int, int], list[int]]] = None
+    # best = (tail, missed) misses `most` values (max_exceptions before it
+    # exists); the tail (a, |b|, b, c) names the quadratic.
+    best: Optional[tuple[tuple[int, int, int, int], list[int]]] = None
+    most = max_exceptions
     seen: set[tuple[int, int, int]] = set()
     tried = 0
 
     def consider(a: int, b: int, c: int) -> None:
-        nonlocal best, tried
+        nonlocal best, most, tried
         key3 = (a, b, c)
         if key3 in seen:
             return
         seen.add(key3)
         tried += 1
         tail = (a, abs(b), b, c)
-        budget = max_exceptions
-        if best is not None:
-            # To win, a candidate must miss no more values than the best so
-            # far, and strictly fewer when it ranks after it on the tail.
-            budget = best[0][0] - (tail > best[0][1:])
-            if budget < 0:
-                return
+        # To win, a candidate must miss no more values than the best so
+        # far, and strictly fewer when it ranks after it on the tail.
+        budget = most - (best is not None and tail > best[0])
+        if budget < 0:
+            return
         missed = _missed(a, b, c, scan, budget)
         if missed is not None:
-            best = ((len(missed), *tail), missed)
+            best, most = (tail, missed), len(missed)
 
     def result() -> tuple[Quadratic, frozenset[int]]:
-        (_, a, _, b, c), missed = best
+        (a, _, b, c), missed = best
         return Quadratic(a, b, c), frozenset(missed)
 
     pool = vs[: max_exceptions + 3]
 
-    # Pairs (t, w // t) for the signed divisors t of a difference w, in the
-    # order d, -d by ascending d, so the even slots hold t > 0; each list is
-    # built once per call because every i2 reuses the i3 differences.
-    divisor_pairs: dict[int, list[tuple[int, int]]] = {}
+    # Per difference w: its ascending divisors d and the pairs (t, w // t)
+    # for t = d and t = -d, built once since every i2 reuses the i3 rows.
+    divisor_rows: dict[int, tuple[list[int], list, list]] = {}
 
-    def pairs(w: int) -> list[tuple[int, int]]:
-        if w not in divisor_pairs:
-            divisor_pairs[w] = [(t, w // t) for d in _divisors(w) for t in (d, -d)]
-        return divisor_pairs[w]
+    def row(w: int) -> tuple[list[int], list, list]:
+        if w not in divisor_rows:
+            divs = _divisors(w)
+            divisor_rows[w] = (divs, [(d, w // d) for d in divs], [(-d, -(w // d)) for d in divs])
+        return divisor_rows[w]
 
     # One- and two-point families guarantee witnesses for small inputs.
     for v in pool:
@@ -300,31 +309,42 @@ def _cover_search(
         for i2 in range(i1 + 1, len(pool)):
             consider(pool[i2] - pool[i1], 0, pool[i1])
 
+    # A witness that beats the best has v1, v2, v3 at indices at most
+    # most, most + 1, most + 2; `most` only falls, so each head rereads it.
     for i1 in range(len(pool)):
+        if i1 > most:
+            break
         v1 = pool[i1]
         for i2 in range(i1 + 1, len(pool)):
+            if i2 > most + 1:
+                break
             # The reflection (t2, t3) -> (-t2, -t3) turns b into -b, so
             # t2 > 0 reaches every candidate up to the sign of b.
-            pairs2 = pairs(pool[i2] - v1)[::2]
+            pairs2 = row(pool[i2] - v1)[1]
             for i3 in range(i2 + 1, len(pool)):
-                pairs3 = pairs(pool[i3] - v1)
+                if i3 > most + 2:
+                    break
+                w3 = pool[i3] - v1
+                divs3, positive, negative = row(w3)
                 for t2, s2 in pairs2:
-                    for t3, s3 in pairs3:
-                        if t3 == t2:
-                            continue
-                        if tried >= max_candidates:
-                            if best is None:
-                                raise InconclusiveSearch(tried)
-                            # A found witness stays valid; only the
-                            # infeasible verdict needs exhaustion.
-                            return result(), False
-                        # w = t*s at both arguments, so a is the slope
-                        # (s2 - s3) / (t2 - t3); most pairs fail this test.
-                        if (s2 - s3) % (t2 - t3) == 0:
-                            ab = _interpolate(t2, s2, t3, s3)
-                            if ab is not None:
+                    # Only t3 > t2 or t3 < 0 with t3 * (t3 + g) <= w3 give a
+                    # >= 1, a leading run of each side by ascending |t3|.
+                    g = s2 - t2
+                    for side in (positive[bisect_right(divs3, t2):], negative):
+                        for t3, s3 in side:
+                            if t3 * (t3 + g) > w3:
+                                break
+                            if tried >= max_candidates:
+                                if best is None:
+                                    raise InconclusiveSearch(tried)
+                                # A found witness stays valid; only the
+                                # infeasible verdict needs exhaustion.
+                                return result(), False
+                            # w = t*s at both arguments, so a is the slope.
+                            if (s2 - s3) % (t2 - t3) == 0:
+                                a, b = _interpolate(t2, s2, t3, s3)
                                 # Both signs miss the same values; -|b| ranks first.
-                                consider(ab[0], -abs(ab[1]), v1)
+                                consider(a, -abs(b), v1)
 
     return (None if best is None else result()), True
 

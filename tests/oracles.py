@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from seifert5.abgroup import AbelianGroup, IntMatrix, group_from_cokernel
 from seifert5.classify import INFINITY, FiveManifoldClass, circle_action_admissible
@@ -308,25 +308,28 @@ def quadratic_cover_search_reference(
     (number of exceptions, a, |b|, b, c), which keeps the output stable.
     Raises InconclusiveSearch if the candidate cap is hit first.
     """
-    return _reference_search(values, max_exceptions, max_candidates, reflect=False)
+    return _reference_search(values, max_exceptions, max_candidates, pruned=False)
 
 
-def reflected_cover_search_reference(
+def pruned_cover_search_reference(
     values: Iterable[int],
     max_exceptions: int = MAX_EXCEPTIONAL_VALUES,
     max_candidates: int = DEFAULT_CANDIDATE_CAP,
 ) -> Optional[tuple[Quadratic, frozenset[int]]]:
     """quadratic_cover_search_reference over the divisor pairs with t2 > 0,
-    each interpolated quadratic replaced by its reflection with b = -|b|.
+    each interpolated quadratic replaced by its reflection with b = -|b|,
+    the triples cut to the reach of the best so far and the pairs to those
+    whose rational slope is at least 1, in the order t3 > t2 ascending and
+    then t3 < 0 by ascending |t3|.
 
-    Uncapped it returns what the unreflected reference returns; under a
-    cap it counts candidates up to the reflection q(t) -> q(-t).
+    Uncapped it returns what the unpruned reference returns; under a cap it
+    counts the candidates that quadratic_cover_search tries.
     """
-    return _reference_search(values, max_exceptions, max_candidates, reflect=True)
+    return _reference_search(values, max_exceptions, max_candidates, pruned=True)
 
 
 def _reference_search(
-    values: Iterable[int], max_exceptions: int, max_candidates: int, reflect: bool
+    values: Iterable[int], max_exceptions: int, max_candidates: int, pruned: bool
 ) -> Optional[tuple[Quadratic, frozenset[int]]]:
     vs = sorted(set(values))
     if not vs:
@@ -364,6 +367,14 @@ def _reference_search(
 
     pool = vs[: max_exceptions + 3]
 
+    def reach(offset: int) -> int:
+        # A witness that beats the best misses at most as many values, so
+        # its three smallest covered values have indices at most e, e + 1
+        # and e + 2; the unpruned search runs over the whole pool.
+        if not pruned:
+            return len(pool)
+        return (max_exceptions if best is None else best[0][0]) + offset
+
     # Candidate arguments t with t | w, per difference w; each list is
     # built once per call because every i2 reuses the i3 differences.
     signed_divisors: dict[int, list[int]] = {}
@@ -373,6 +384,19 @@ def _reference_search(
             signed_divisors[w] = [t for d in divisors_by_trial_division(w) for t in (d, -d)]
         return signed_divisors[w]
 
+    def partners(t2: int, w2: int, w3: int) -> Iterator[int]:
+        if not pruned:
+            return (t for t in arguments(w3) if t != t2)
+
+        def steep(t3: int) -> bool:
+            # The line through (t2, w2 / t2) and (t3, w3 / t3) has slope
+            # num / den, which is >= 1 iff (num - den) * den >= 0.
+            num, den = w2 * t3 - w3 * t2, t2 * t3 * (t2 - t3)
+            return (num - den) * den >= 0
+
+        divisors = arguments(w3)[::2]
+        return filter(steep, [t for t in divisors if t > t2] + [-d for d in divisors])
+
     # One- and two-point families guarantee witnesses for small inputs.
     for v in pool:
         consider(Quadratic(1, 0, v))
@@ -381,17 +405,20 @@ def _reference_search(
             consider(Quadratic(pool[i2] - pool[i1], 0, pool[i1]))
 
     for i1 in range(len(pool)):
+        if i1 > reach(0):
+            break
         v1 = pool[i1]
         for i2 in range(i1 + 1, len(pool)):
+            if i2 > reach(1):
+                break
             w2 = pool[i2] - v1
-            t2_choices = [t for t in arguments(w2) if t > 0 or not reflect]
+            t2_choices = [t for t in arguments(w2) if t > 0 or not pruned]
             for i3 in range(i2 + 1, len(pool)):
+                if i3 > reach(2):
+                    break
                 w3 = pool[i3] - v1
-                t3_choices = arguments(w3)
                 for t2 in t2_choices:
-                    for t3 in t3_choices:
-                        if t3 == t2:
-                            continue
+                    for t3 in partners(t2, w2, w3):
                         if tried >= max_candidates:
                             if best is not None and best[0][0] <= max_exceptions:
                                 # A found witness stays valid; only the
@@ -400,7 +427,7 @@ def _reference_search(
                             raise InconclusiveSearch(tried)
                         q = _interpolate(t2, v1, w2, t3, w3)
                         if q is not None:
-                            consider(Quadratic(q.a, -abs(q.b), q.c) if reflect else q)
+                            consider(Quadratic(q.a, -abs(q.b), q.c) if pruned else q)
 
     if best is None:
         return None

@@ -255,6 +255,24 @@ class TestSasaki:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("values", [
+        "1_000,2", "+5,7", "\u0661,\u0662,\u0663", " 2,6", "2, 6", "2,,6", "", "2.0,6", "0x10",
+    ])
+    def test_values_accept_only_ascii_decimals(self, capsys, values):
+        # int() took the first five with exit 0; JSON integers decode
+        # strictly, and so does each --values item now
+        code, out, err = run_cli(capsys, "sasaki", "--values", values)
+        assert_input_error(code, out, err)
+        assert err.startswith("error: --values item ")
+
+    def test_values_decimal_items(self, capsys):
+        code, out, _ = run_cli(capsys, "sasaki", "--values", "0002,6,12,20")
+        assert code == 0
+        assert json.loads(out)["witness"] == {"a": 1, "b": -3, "c": 2}
+        code, out, err = run_cli(capsys, "sasaki", "--values=-5,7")
+        assert_input_error(code, out, err)
+        assert err == "error: torsion counts must be positive\n"
+
 
 class TestEnumerate:
     def test_stream_deterministic(self, capsys):

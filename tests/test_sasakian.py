@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seifert5 import sasakian
 from seifert5.sasakian import (
@@ -15,9 +18,9 @@ from seifert5.sasakian import (
 
 from oracles import (
     divisors_by_trial_division,
+    pruned_cover_search_reference,
     quadratic_cover_search_reference,
     quadratic_interval_count,
-    reflected_cover_search_reference,
 )
 
 
@@ -125,11 +128,12 @@ class TestCoverSearch:
 
     def test_witness_found_before_cap_is_kept(self):
         # plenty of candidates, but a perfect witness appears early; the
-        # complete search counts fewer than 300 candidates up to reflection
-        q, exceptions = quadratic_cover_search(degree_family(10), max_candidates=200)
+        # complete search tries fewer than 50 candidates, and t^2 - 3t + 2
+        # is found before cap 40 stops it
+        q, exceptions = quadratic_cover_search(degree_family(10), max_candidates=40)
         assert all(q.contains(v) for v in degree_family(10))
         # the report keeps the witness but does not claim exhaustion
-        report = sasaki_check(degree_family(10), max_candidates=200)
+        report = sasaki_check(degree_family(10), max_candidates=40)
         assert report.feasible
         assert (report.witness, report.exceptions) == (q, exceptions)
         assert not report.search_complete
@@ -193,9 +197,91 @@ class TestCoverSearch:
             for budget in (0, 2):
                 quadratic_cover_search(values, max_exceptions=budget)
         assert all(t2 > 0 for t2, _ in interpolated)
-        assert any(ab is not None and ab[1] > 0 for _, ab in interpolated)
+        assert any(ab[1] > 0 for _, ab in interpolated)
         assert all(b <= 0 and budget >= 0 for b, budget in scored)
         assert any(b < 0 for b, _ in scored)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_slope_cut_is_exact(self, data):
+        # For t2 > 0 dividing w2 < w3 and g = s2 - t2, the slope through
+        # (t2, s2) and (t3, s3) is >= 1 exactly when t3 > t2 or t3 < 0, and
+        # t3 * (t3 + g) <= w3; on each side, by ascending |t3|, the pairs
+        # that pass come first.
+        w2 = data.draw(st.integers(1, 10**4), label="w2")
+        w3 = data.draw(st.integers(w2 + 1, 2 * 10**4), label="w3")
+        t2 = data.draw(st.sampled_from(divisors_by_trial_division(w2)), label="t2")
+        s2 = w2 // t2
+        g = s2 - t2
+
+        def cut(t3):
+            return (t3 > t2 or t3 < 0) and t3 * (t3 + g) <= w3
+
+        divisors = divisors_by_trial_division(w3)
+        for t3 in [d for d in divisors if d != t2] + [-d for d in divisors]:
+            assert cut(t3) == (Fraction(s2 - w3 // t3, t2 - t3) >= 1), (w2, w3, t2, t3)
+        for side in ([d for d in divisors if d > t2], [-d for d in divisors]):
+            passed = [cut(t3) for t3 in side]
+            assert passed == sorted(passed, reverse=True), (w2, w3, t2)
+
+    def test_scans_only_steep_pairs_within_reach_of_the_best(self, monkeypatch):
+        # No interpolation has slope a < 1, and none comes from a triple
+        # (i1, i2, i3) past the reach (e, e + 1, e + 2) of the best so far,
+        # e its exception count (the budget before any witness); nor is a
+        # difference past that reach factored.  The value sets have
+        # distinct pairwise differences, so w = t*s names its index pair.
+        events = []
+        interpolate, missed, divisors = sasakian._interpolate, sasakian._missed, sasakian._divisors
+
+        def spy_interpolate(t2, s2, t3, s3):
+            ab = interpolate(t2, s2, t3, s3)
+            events.append(("interpolate", t2 * s2, t3 * s3, ab))
+            return ab
+
+        def spy_missed(a, b, c, values, budget):
+            result = missed(a, b, c, values, budget)
+            if result is not None:
+                events.append(("best", len(result)))
+            return result
+
+        def spy_divisors(n):
+            events.append(("divisors", n))
+            return divisors(n)
+
+        monkeypatch.setattr(sasakian, "_interpolate", spy_interpolate)
+        monkeypatch.setattr(sasakian, "_missed", spy_missed)
+        monkeypatch.setattr(sasakian, "_divisors", spy_divisors)
+        rng = random.Random(109)
+        value_sets = [sorted(rng.sample(range(1, 10**9), n)) for n in (9, 14, 16)]
+        for aliens in (1, 3, 5):
+            # a planted quadratic above `aliens` smaller values
+            a, b = rng.randint(2, 90), rng.randint(-300, 300)
+            planted = {(a * t + b) * t + 10**7 for t in range(1, 14)}
+            value_sets.append(sorted(planted | set(rng.sample(range(1, 10**6), aliens))))
+        narrowed = 0
+        for values in value_sets:
+            for budget in (2, 5, 10):
+                pool = values[: budget + 3]
+                index = {pool[j] - pool[i]: (i, j)
+                         for i in range(len(pool)) for j in range(i + 1, len(pool))}
+                assert len(index) == len(pool) * (len(pool) - 1) // 2
+                events.clear()
+                quadratic_cover_search(values, max_exceptions=budget)
+                e = budget
+                for event in events:
+                    if event[0] == "best":
+                        e = event[1]
+                    elif event[0] == "divisors":
+                        i, j = index[event[1]]
+                        assert i <= e and j <= e + 2, (values, budget, event, e)
+                    else:
+                        _, w2, w3, ab = event
+                        (i1, i2), (i1_, i3) = index[w2], index[w3]
+                        assert i1 == i1_ and ab[0] >= 1, (values, budget, event)
+                        assert i1 <= e and i2 <= e + 1 and i3 <= e + 2, (values, budget, event, e)
+                        narrowed += e < budget
+        # the reach did narrow during the searches
+        assert narrowed
 
     def test_divisors_match_brute_force(self):
         rng = random.Random(101)
@@ -213,7 +299,8 @@ class TestCoverSearch:
         # Same witness, exceptions or None as the search that interpolated
         # on bare divisors; under a cap, the same witness or
         # InconclusiveSearch count as that search over t2 > 0 with b = -|b|,
-        # which counts candidates up to the reflection q(t) -> q(-t).
+        # cut to the reach of the best and to the pairs with slope >= 1,
+        # which counts the candidates the search still tries.
         rng = random.Random(103)
         value_sets = [
             sorted(rng.sample(range(1, hi), rng.randint(1, 9)))
@@ -229,14 +316,20 @@ class TestCoverSearch:
             except InconclusiveSearch as exc:
                 return ("inconclusive", exc.candidates_tried)
 
+        midway = []
         for values in value_sets:
             for budget in (0, 2, 10):
-                for cap in (1, 7, 300, None):
+                complete = outcome(quadratic_cover_search, values, budget, None)
+                assert complete == outcome(quadratic_cover_search_reference, values, budget, None)
+                for cap in (1, 7, 50, 300, 1000):
                     got = outcome(quadratic_cover_search, values, budget, cap)
-                    reference = (quadratic_cover_search_reference if cap is None
-                                 else reflected_cover_search_reference)
-                    want = outcome(reference, values, budget, cap)
+                    want = outcome(pruned_cover_search_reference, values, budget, cap)
                     assert got == want, (values, budget, cap)
+                    if values[-1] > 10**6 and cap >= 50 and got != complete:
+                        midway.append(got[0] == "inconclusive")
+        # caps 50 and 1000 stop searches of the 10^9 sets mid-way, some
+        # before any witness and some after one narrowed the reach
+        assert set(midway) == {True, False}
 
     def test_completeness_against_brute_force(self):
         # Small-range brute force over all quadratics with bounded
@@ -309,11 +402,12 @@ class TestSasakiCheck:
 
     def test_infeasible_by_search_is_marked_complete(self):
         # dense-ish but below the density bound; no quadratic covers enough
-        values = list(range(2, 36, 2))  # 17 values, bound 12 + 2*sqrt(32) ~ 23.3
+        values = list(range(1, 36, 2))  # 18 values, bound 12 + 2*sqrt(34) ~ 23.7
+        assert interval_density_check(values) is None
         report = sasaki_check(values)
-        if not report.feasible:
-            assert report.search_complete
-            assert report.densest_violation is None
+        assert not report.feasible
+        assert report.search_complete
+        assert report.densest_violation is None
 
     def test_sixteen_random_values_below_10_12(self):
         # random.Random(0) draws; no quadratic covers all but ten of them
