@@ -392,18 +392,8 @@ class AbelianGroup:
     def from_invariant_factors(cls, factors: Iterable[int], free_rank: int = 0) -> "AbelianGroup":
         return cls.from_counts(free_rank, primary_decomposition(factors))
 
-    def counts(self) -> dict[tuple[int, int], int]:
-        return {(p, e): c for p, e, c in self.torsion}
-
-    def count(self, p: int, e: int) -> int:
-        return self.counts().get((p, e), 0)
-
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted({p for p, _, _ in self.torsion}))
-
-    def nonzero_powers(self, p: int) -> tuple[int, ...]:
-        """Exponents e with a nonzero count for p**e, increasing."""
-        return tuple(e for q, e, _ in self.torsion if q == p)
 
     def torsion_order(self) -> int:
         return math.prod((p ** e) ** c for p, e, c in self.torsion)

@@ -82,9 +82,6 @@ R3_SPIN_TWO_COUNT = "R3_SPIN_TWO_COUNT"
 NOT_REALIZABLE = "NOT_REALIZABLE"
 INVALID_I = "INVALID_I"
 
-# Canonical order for verdict tags.
-_RULE_ORDER = (R1_PRIME_COUNT, R2_WU_RANGE, R3_SPIN_TWO_COUNT, NOT_REALIZABLE, INVALID_I)
-
 
 def encode_i(i: WuValue):
     """Wire encoding: INFINITY becomes the string "inf"."""
@@ -169,9 +166,16 @@ def validate_i(h2: AbelianGroup, i: WuValue) -> bool:
     _check_i_type(i)
     if isinstance(i, Infinity):
         return h2.free_rank >= 1
-    if i == 0:
-        return True
-    return h2.count(2, i) != 0
+    return i == 0 or any(p == 2 and e == i for p, e, _ in h2.torsion)
+
+
+def _doubled(h2: AbelianGroup, i: WuValue) -> bool:
+    """Is the torsion A + A, or A + A + Z/2 with i forced to 1?
+
+    The counts are all even, or (2, 1) is the only odd one and i = 1.
+    """
+    odd = [(p, e) for p, e, c in h2.torsion if c % 2]
+    return not odd or (odd == [(2, 1)] and i == 1)
 
 
 def smale_barden_realizable(cls: FiveManifoldClass) -> bool:
@@ -181,14 +185,7 @@ def smale_barden_realizable(cls: FiveManifoldClass) -> bool:
     achievable i) or A + A + Z/2 (count(2, 1) odd, everything else even,
     and then i is forced to be 1).
     """
-    if not validate_i(cls.h2, cls.i):
-        return False
-    counts = cls.h2.counts()
-    if all(c % 2 == 0 for c in counts.values()):
-        # The doubled case; validate_i already encodes which i are achievable.
-        return True
-    others_even = all(c % 2 == 0 for key, c in counts.items() if key != (2, 1))
-    return counts.get((2, 1), 0) % 2 == 1 and others_even and cls.i == 1
+    return validate_i(cls.h2, cls.i) and _doubled(cls.h2, cls.i)
 
 
 def circle_action_admissible(cls: FiveManifoldClass) -> GateVerdict:
@@ -196,26 +193,24 @@ def circle_action_admissible(cls: FiveManifoldClass) -> GateVerdict:
 
     Requires realizability plus rules R1 (prime spread), R2 (Wu range) and
     R3 (2-primary spread under i = INFINITY).  All violated rules are
-    reported, in a fixed canonical order.
+    reported, in the canonical order R1, R2, R3, then NOT_REALIZABLE or
+    INVALID_I (never both).
     """
-    k = cls.k
-    violated = set()
+    h2, i, k = cls.h2, cls.i, cls.k
+    # Exponents with a nonzero count, per prime, in one pass over the torsion.
+    spread: dict[int, int] = {}
+    for p, _, _ in h2.torsion:
+        spread[p] = spread.get(p, 0) + 1
 
-    if not validate_i(cls.h2, cls.i):
-        violated.add(INVALID_I)
-    elif not smale_barden_realizable(cls):
-        violated.add(NOT_REALIZABLE)
-
-    for p in cls.h2.primes():
-        if len(cls.h2.nonzero_powers(p)) > k + 1:
-            violated.add(R1_PRIME_COUNT)
-            break
-
-    if not (isinstance(cls.i, Infinity) or cls.i in (0, 1)):
-        violated.add(R2_WU_RANGE)
-
-    if isinstance(cls.i, Infinity) and len(cls.h2.nonzero_powers(2)) > k:
-        violated.add(R3_SPIN_TWO_COUNT)
-
-    ordered = tuple(tag for tag in _RULE_ORDER if tag in violated)
-    return GateVerdict(admissible=not ordered, violated_rules=ordered)
+    violated = []
+    if any(n > k + 1 for n in spread.values()):
+        violated.append(R1_PRIME_COUNT)
+    if not (isinstance(i, Infinity) or i in (0, 1)):
+        violated.append(R2_WU_RANGE)
+    if isinstance(i, Infinity) and spread.get(2, 0) > k:
+        violated.append(R3_SPIN_TWO_COUNT)
+    if not validate_i(h2, i):
+        violated.append(INVALID_I)
+    elif not _doubled(h2, i):
+        violated.append(NOT_REALIZABLE)
+    return GateVerdict(admissible=not violated, violated_rules=tuple(violated))

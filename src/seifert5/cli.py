@@ -99,7 +99,8 @@ def _group_of(data) -> AbelianGroup:
 def _cmd_construct(args) -> int:
     data = _parse_json(_read_input(args.input))
     if args.target_i is not None:
-        i = decode_i(args.target_i if args.target_i == "inf" else int(args.target_i))
+        i = decode_i(args.target_i if args.target_i == "inf"
+                     else _decimal(args.target_i, "--target-i"))
         cls = FiveManifoldClass(_group_of(data), i)
     else:
         cls = FiveManifoldClass.from_json_dict(data)
@@ -152,8 +153,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_local(args) -> int:
-    exponents = tuple(int(x) for x in args.exponents.split(","))
-    rep = StabilizerRep(args.m, exponents)
+    m = _decimal(args.m, "--m")
+    exponents = tuple(_decimal(x, "--exponents item") for x in args.exponents.split(","))
+    rep = StabilizerRep(m, exponents)
     inv = local_invariants(rep)
     doc = {
         "m": rep.m,
@@ -170,17 +172,19 @@ def _cmd_local(args) -> int:
     return EXIT_YES
 
 
-def _decimal(item: str) -> int:
+def _decimal(text: str, what: str) -> int:
     # int() would also take "1_000", "+5", " 5" and non-ASCII digits.
-    if re.fullmatch(r"-?[0-9]+", item) is None:
-        raise ValueError(f"--values item {item!r} is not an integer "
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"{what} {text!r} is not an integer "
                          "(ASCII digits, optional leading '-')")
-    return int(item)
+    return int(text)
 
 
 def _cmd_sasaki(args) -> int:
+    max_exceptions = _decimal(args.max_exceptions, "--max-exceptions")
+    max_candidates = _decimal(args.max_candidates, "--max-candidates")
     if args.values is not None:
-        values = [_decimal(x) for x in args.values.split(",")]
+        values = [_decimal(x, "--values item") for x in args.values.split(",")]
     else:
         group = _group_of(_parse_json(_read_input(args.input)))
         if group.free_rank != 0:
@@ -189,8 +193,8 @@ def _cmd_sasaki(args) -> int:
         for _, _, c in group.torsion:
             values.append(c)
     try:
-        report = sasaki_check(values, max_exceptions=args.max_exceptions,
-                              max_candidates=args.max_candidates)
+        report = sasaki_check(values, max_exceptions=max_exceptions,
+                              max_candidates=max_candidates)
     except InconclusiveSearch as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         _emit({"feasible": None, "inconclusive": True}, args.format, ["inconclusive"])
@@ -209,7 +213,8 @@ def _cmd_sasaki(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for cls, spec in enumerate_admissible(args.max_torsion_order, args.max_k):
+    max_torsion_order = _decimal(args.max_torsion_order, "--max-torsion-order")
+    for cls, spec in enumerate_admissible(max_torsion_order, _decimal(args.max_k, "--max-k")):
         if args.format == "json":
             line = {"class": cls.to_json_dict(), "spec": spec.to_json_dict()}
             print(json.dumps(line, separators=(",", ":")))
@@ -254,21 +259,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("local", help="local invariants of a stabilizer representation")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", required=True)
     p.add_argument("--exponents", required=True, help="comma-separated, e.g. 3,4")
     add_common(p, with_input=False)
     p.set_defaults(func=_cmd_local)
 
     p = sub.add_parser("sasaki", help="necessary conditions for algebraic realization")
     p.add_argument("--values", default=None, help="comma-separated torsion counts")
-    p.add_argument("--max-exceptions", type=int, default=MAX_EXCEPTIONAL_VALUES)
-    p.add_argument("--max-candidates", type=int, default=DEFAULT_CANDIDATE_CAP)
+    p.add_argument("--max-exceptions", default=str(MAX_EXCEPTIONAL_VALUES))
+    p.add_argument("--max-candidates", default=str(DEFAULT_CANDIDATE_CAP))
     add_common(p)
     p.set_defaults(func=_cmd_sasaki)
 
     p = sub.add_parser("enumerate", help="stream admissible classes with their presentations")
-    p.add_argument("--max-torsion-order", type=int, required=True)
-    p.add_argument("--max-k", type=int, required=True)
+    p.add_argument("--max-torsion-order", required=True)
+    p.add_argument("--max-k", required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_enumerate)
 

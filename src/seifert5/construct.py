@@ -35,8 +35,8 @@ must equal the requested class exactly.
 
 enumerate_admissible builds its candidates instead of filtering all torsion
 groups: realizable torsion is A + A or A + A + Z/2, so the halves A with
-|A| <= isqrt(N) give every profile that can pass, once for all k.  The
-admissibility gate still decides each candidate, and build gates again.
+|A| <= isqrt(N) give every profile that can pass, once for all k.  Each
+candidate goes straight to build, and build's gate alone decides.
 Bounds below their minimum (N < 1, k < 0) raise ValueError.
 """
 
@@ -114,22 +114,22 @@ def schedule(cls: FiveManifoldClass) -> Schedule:
     if not verdict.admissible:
         raise GateRejection(verdict)
     k = cls.k
-    counts = cls.h2.counts()
+    # (e, count) runs per prime, in the sorted torsion's order.
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for p, e, count in cls.h2.torsion:
+        runs.setdefault(p, []).append((e, count))
     entries: list[ScheduleEntry] = []
-    for p in cls.h2.primes():
-        powers = cls.h2.nonzero_powers(p)
+    for p, run in runs.items():
         # Right-aligned: the largest power of each prime lands in slot k.
-        for offset, e in enumerate(powers):
-            slot = k + 1 - len(powers) + offset
+        for slot, (e, count) in enumerate(run, start=k + 1 - len(run)):
             m = p ** e
-            count = counts[(p, e)]
             if p == 2 and e == 1 and cls.i == 1:
                 entries.append(ScheduleEntry(p, slot, m, orientable=False, genus=0, b1=count))
             else:
                 if count % 2:
                     raise AssertionError(f"odd count {count} for {p}^{e} slipped past the gate")
                 entries.append(ScheduleEntry(p, slot, m, orientable=True, genus=count // 2, b1=0))
-    if not cls.h2.nonzero_powers(2):
+    if 2 not in runs:
         entries.append(ScheduleEntry(2, k, 2, orientable=True, genus=0, b1=0))
     entries.sort(key=lambda e: (e.slot, e.m))
     return Schedule(k=k, entries=tuple(entries))
@@ -302,8 +302,8 @@ def enumerate_admissible(
 
     Candidates are built from halves: torsion A + A or A + A + Z/2 with
     |A| <= isqrt(max_torsion_order), generated once for all k.  That skips
-    only profiles no (k, i) makes realizable; every candidate still passes
-    `circle_action_admissible`, which alone decides, and `build` gates again.
+    only profiles no (k, i) makes realizable; every candidate goes to `build`,
+    and build's gate alone decides: a `GateRejection` skips the candidate.
 
     Raises ValueError, when iteration starts, if max_torsion_order < 1
     (the trivial group already has order 1) or max_k < 0.
@@ -318,5 +318,8 @@ def enumerate_admissible(
             group = AbelianGroup.from_counts(k, counts)
             for i in (0, 1, INFINITY):
                 cls = FiveManifoldClass(group, i)
-                if circle_action_admissible(cls).admissible:
-                    yield cls, build(cls)
+                try:
+                    spec = build(cls)
+                except GateRejection:
+                    continue
+                yield cls, spec

@@ -238,7 +238,8 @@ def quadratic_cover_search(
     Raises InconclusiveSearch if the candidate cap is hit before any witness
     was found; a witness found before the cap is still valid but need not
     minimize the key, and is returned.  The cap counts candidates up to the
-    reflection q(t) -> q(-t), and only those the pruning still tries.
+    reflection q(t) -> q(-t), and only those the pruning still tries; no
+    more than max_candidates of them are ever tried.
     Raises ValueError if max_exceptions < 0 or max_candidates < 1.
 
     >>> q, exc = quadratic_cover_search([(i - 1) * (i - 2) for i in range(3, 13)])
@@ -274,6 +275,9 @@ def _cover_search(
         key3 = (a, b, c)
         if key3 in seen:
             return
+        # The one place the cap is checked: a candidate past it is never tried.
+        if tried == max_candidates:
+            raise InconclusiveSearch(tried)
         seen.add(key3)
         tried += 1
         tail = (a, abs(b), b, c)
@@ -302,49 +306,49 @@ def _cover_search(
             divisor_rows[w] = (divs, [(d, w // d) for d in divs], [(-d, -(w // d)) for d in divs])
         return divisor_rows[w]
 
-    # One- and two-point families guarantee witnesses for small inputs.
-    for v in pool:
-        consider(1, 0, v)
-    for i1 in range(len(pool)):
-        for i2 in range(i1 + 1, len(pool)):
-            consider(pool[i2] - pool[i1], 0, pool[i1])
+    try:
+        # One- and two-point families guarantee witnesses for small inputs.
+        for v in pool:
+            consider(1, 0, v)
+        for i1 in range(len(pool)):
+            for i2 in range(i1 + 1, len(pool)):
+                consider(pool[i2] - pool[i1], 0, pool[i1])
 
-    # A witness that beats the best has v1, v2, v3 at indices at most
-    # most, most + 1, most + 2; `most` only falls, so each head rereads it.
-    for i1 in range(len(pool)):
-        if i1 > most:
-            break
-        v1 = pool[i1]
-        for i2 in range(i1 + 1, len(pool)):
-            if i2 > most + 1:
+        # A witness that beats the best has v1, v2, v3 at indices at most
+        # most, most + 1, most + 2; `most` only falls, so each head rereads it.
+        for i1 in range(len(pool)):
+            if i1 > most:
                 break
-            # The reflection (t2, t3) -> (-t2, -t3) turns b into -b, so
-            # t2 > 0 reaches every candidate up to the sign of b.
-            pairs2 = row(pool[i2] - v1)[1]
-            for i3 in range(i2 + 1, len(pool)):
-                if i3 > most + 2:
+            v1 = pool[i1]
+            for i2 in range(i1 + 1, len(pool)):
+                if i2 > most + 1:
                     break
-                w3 = pool[i3] - v1
-                divs3, positive, negative = row(w3)
-                for t2, s2 in pairs2:
-                    # Only t3 > t2 or t3 < 0 with t3 * (t3 + g) <= w3 give a
-                    # >= 1, a leading run of each side by ascending |t3|.
-                    g = s2 - t2
-                    for side in (positive[bisect_right(divs3, t2):], negative):
-                        for t3, s3 in side:
-                            if t3 * (t3 + g) > w3:
-                                break
-                            if tried >= max_candidates:
-                                if best is None:
-                                    raise InconclusiveSearch(tried)
-                                # A found witness stays valid; only the
-                                # infeasible verdict needs exhaustion.
-                                return result(), False
-                            # w = t*s at both arguments, so a is the slope.
-                            if (s2 - s3) % (t2 - t3) == 0:
-                                a, b = _interpolate(t2, s2, t3, s3)
-                                # Both signs miss the same values; -|b| ranks first.
-                                consider(a, -abs(b), v1)
+                # The reflection (t2, t3) -> (-t2, -t3) turns b into -b, so
+                # t2 > 0 reaches every candidate up to the sign of b.
+                pairs2 = row(pool[i2] - v1)[1]
+                for i3 in range(i2 + 1, len(pool)):
+                    if i3 > most + 2:
+                        break
+                    w3 = pool[i3] - v1
+                    divs3, positive, negative = row(w3)
+                    for t2, s2 in pairs2:
+                        # Only t3 > t2 or t3 < 0 with t3 * (t3 + g) <= w3 give a
+                        # >= 1, a leading run of each side by ascending |t3|.
+                        g = s2 - t2
+                        for side in (positive[bisect_right(divs3, t2):], negative):
+                            for t3, s3 in side:
+                                if t3 * (t3 + g) > w3:
+                                    break
+                                # w = t*s at both arguments, so a is the slope.
+                                if (s2 - s3) % (t2 - t3) == 0:
+                                    a, b = _interpolate(t2, s2, t3, s3)
+                                    # Both signs miss the same values; -|b| ranks first.
+                                    consider(a, -abs(b), v1)
+    except InconclusiveSearch:
+        if best is None:
+            raise
+        # A found witness stays valid; only the infeasible verdict needs exhaustion.
+        return result(), False
 
     return (None if best is None else result()), True
 

@@ -6,7 +6,17 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from seifert5.abgroup import AbelianGroup, IntMatrix, group_from_cokernel
-from seifert5.classify import INFINITY, FiveManifoldClass, circle_action_admissible
+from seifert5.classify import (
+    INFINITY,
+    INVALID_I,
+    NOT_REALIZABLE,
+    R1_PRIME_COUNT,
+    R2_WU_RANGE,
+    R3_SPIN_TWO_COUNT,
+    FiveManifoldClass,
+    GateVerdict,
+    Infinity,
+)
 from seifert5.cohomology import INDETERMINATE, CohomologyReport
 from seifert5.construct import _torsion_profiles, build
 from seifert5.sasakian import (
@@ -235,15 +245,76 @@ def full_report_reference(spec) -> CohomologyReport:
     return CohomologyReport(order, h2, h3, c1, c1_mu, _wu_reference(spec, c1_mu), True)
 
 
+# -- the admissibility gate, one fact per rule --------------------------------
+
+
+_RULE_ORDER = (R1_PRIME_COUNT, R2_WU_RANGE, R3_SPIN_TWO_COUNT, NOT_REALIZABLE, INVALID_I)
+
+
+def _counts(h2):
+    return {(p, e): c for p, e, c in h2.torsion}
+
+
+def _nonzero_powers(h2, p):
+    """Exponents e with a nonzero count for p**e, increasing."""
+    return tuple(e for q, e, _ in h2.torsion if q == p)
+
+
+def validate_i_reference(h2, i):
+    if isinstance(i, Infinity):
+        return h2.free_rank >= 1
+    if i == 0:
+        return True
+    return _counts(h2).get((2, i), 0) != 0
+
+
+def smale_barden_realizable_reference(cls):
+    """Realizability as it rescanned the counts: all even, or only
+    count(2, 1) odd and then i = 1."""
+    if not validate_i_reference(cls.h2, cls.i):
+        return False
+    counts = _counts(cls.h2)
+    if all(c % 2 == 0 for c in counts.values()):
+        return True
+    others_even = all(c % 2 == 0 for key, c in counts.items() if key != (2, 1))
+    return counts.get((2, 1), 0) % 2 == 1 and others_even and cls.i == 1
+
+
+def circle_action_admissible_reference(cls):
+    """The gate as it decided each rule apart, with a per-prime rescan of
+    the torsion and the tags sorted into canonical order at the end."""
+    k = cls.k
+    violated = set()
+
+    if not validate_i_reference(cls.h2, cls.i):
+        violated.add(INVALID_I)
+    elif not smale_barden_realizable_reference(cls):
+        violated.add(NOT_REALIZABLE)
+
+    for p in cls.h2.primes():
+        if len(_nonzero_powers(cls.h2, p)) > k + 1:
+            violated.add(R1_PRIME_COUNT)
+            break
+
+    if not (isinstance(cls.i, Infinity) or cls.i in (0, 1)):
+        violated.add(R2_WU_RANGE)
+
+    if isinstance(cls.i, Infinity) and len(_nonzero_powers(cls.h2, 2)) > k:
+        violated.add(R3_SPIN_TWO_COUNT)
+
+    ordered = tuple(tag for tag in _RULE_ORDER if tag in violated)
+    return GateVerdict(admissible=not ordered, violated_rules=ordered)
+
+
 def enumerate_admissible_by_filter(max_torsion_order, max_k):
     """Generate and filter: every torsion profile up to the bound, for every
-    k and i, kept when the gate admits it."""
+    k and i, kept when the reference gate admits it."""
     for k in range(max_k + 1):
         for counts in _torsion_profiles(max_torsion_order):
             group = AbelianGroup.from_counts(k, counts)
             for i in (0, 1, INFINITY):
                 cls = FiveManifoldClass(group, i)
-                if circle_action_admissible(cls).admissible:
+                if circle_action_admissible_reference(cls).admissible:
                     yield cls, build(cls)
 
 
@@ -356,6 +427,8 @@ def _reference_search(
         key3 = (q.a, q.b, q.c)
         if key3 in seen:
             return
+        if tried == max_candidates:
+            raise InconclusiveSearch(tried)
         seen.add(key3)
         tried += 1
         missed = misses(q)
@@ -397,37 +470,37 @@ def _reference_search(
         divisors = arguments(w3)[::2]
         return filter(steep, [t for t in divisors if t > t2] + [-d for d in divisors])
 
-    # One- and two-point families guarantee witnesses for small inputs.
-    for v in pool:
-        consider(Quadratic(1, 0, v))
-    for i1 in range(len(pool)):
-        for i2 in range(i1 + 1, len(pool)):
-            consider(Quadratic(pool[i2] - pool[i1], 0, pool[i1]))
+    try:
+        # One- and two-point families guarantee witnesses for small inputs.
+        for v in pool:
+            consider(Quadratic(1, 0, v))
+        for i1 in range(len(pool)):
+            for i2 in range(i1 + 1, len(pool)):
+                consider(Quadratic(pool[i2] - pool[i1], 0, pool[i1]))
 
-    for i1 in range(len(pool)):
-        if i1 > reach(0):
-            break
-        v1 = pool[i1]
-        for i2 in range(i1 + 1, len(pool)):
-            if i2 > reach(1):
+        for i1 in range(len(pool)):
+            if i1 > reach(0):
                 break
-            w2 = pool[i2] - v1
-            t2_choices = [t for t in arguments(w2) if t > 0 or not pruned]
-            for i3 in range(i2 + 1, len(pool)):
-                if i3 > reach(2):
+            v1 = pool[i1]
+            for i2 in range(i1 + 1, len(pool)):
+                if i2 > reach(1):
                     break
-                w3 = pool[i3] - v1
-                for t2 in t2_choices:
-                    for t3 in partners(t2, w2, w3):
-                        if tried >= max_candidates:
-                            if best is not None and best[0][0] <= max_exceptions:
-                                # A found witness stays valid; only the
-                                # infeasible verdict needs exhaustion.
-                                return best[1], best[2]
-                            raise InconclusiveSearch(tried)
-                        q = _interpolate(t2, v1, w2, t3, w3)
-                        if q is not None:
-                            consider(Quadratic(q.a, -abs(q.b), q.c) if pruned else q)
+                w2 = pool[i2] - v1
+                t2_choices = [t for t in arguments(w2) if t > 0 or not pruned]
+                for i3 in range(i2 + 1, len(pool)):
+                    if i3 > reach(2):
+                        break
+                    w3 = pool[i3] - v1
+                    for t2 in t2_choices:
+                        for t3 in partners(t2, w2, w3):
+                            q = _interpolate(t2, v1, w2, t3, w3)
+                            if q is not None:
+                                consider(Quadratic(q.a, -abs(q.b), q.c) if pruned else q)
+    except InconclusiveSearch:
+        if best is None:
+            raise
+        # A found witness stays valid; only the infeasible verdict needs exhaustion.
+        return best[1], best[2]
 
     if best is None:
         return None

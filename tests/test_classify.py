@@ -20,6 +20,9 @@ from seifert5.classify import (
     smale_barden_realizable,
     validate_i,
 )
+from seifert5.construct import _torsion_profiles
+
+from oracles import circle_action_admissible_reference, smale_barden_realizable_reference
 
 
 def torsion_groups_up_to(max_order):
@@ -197,6 +200,27 @@ class TestGate:
                 len([e for (q, e) in counts if q == p]) <= 1 for p in {q for q, _ in counts}
             )
             assert circle_action_admissible(cls).admissible == per_prime_ok
+
+
+class TestGateOracle:
+    def test_matches_reference_on_every_profile_to_512(self):
+        # The gate and realizability against the per-rule reference on every
+        # torsion profile of order <= 512, for k <= 3 and five values of i.
+        cases = 0
+        for counts in _torsion_profiles(512):
+            for k in range(4):
+                group = AbelianGroup.from_counts(k, counts)
+                for i in (0, 1, 2, 3, INFINITY):
+                    cls = FiveManifoldClass(group, i)
+                    verdict = circle_action_admissible(cls)
+                    want = circle_action_admissible_reference(cls)
+                    assert verdict.violated_rules == want.violated_rules, (counts, k, i)
+                    assert verdict.admissible == want.admissible, (counts, k, i)
+                    assert smale_barden_realizable(cls) == smale_barden_realizable_reference(
+                        cls
+                    ), (counts, k, i)
+                    cases += 1
+        assert cases == 21_200
 
 
 class TestWire:

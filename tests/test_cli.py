@@ -227,10 +227,10 @@ class TestSasaki:
         assert code == 3
 
     def test_capped_witness_is_not_complete(self, capsys):
-        # the cap stops the search after t^2 + 5 was found; it covers all
-        # but four values, but the complete search prefers 12t^2 - 5t + 3
+        # cap 2 stops the search after t^2 + 3 and t^2 + 5; the second covers
+        # all but four values, but the complete search prefers 12t^2 - 5t + 3
         code, out, _ = run_cli(
-            capsys, "sasaki", "--values", "3,5,10,20,37,41", "--max-candidates", "1"
+            capsys, "sasaki", "--values", "3,5,10,20,37,41", "--max-candidates", "2"
         )
         assert code == 0
         doc = json.loads(out)
@@ -489,6 +489,48 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, "gate", write_json(tmp_path, "cls.json", cls))
         assert_input_error(code, out, err)
         assert err.startswith("error: ")
+
+
+class TestStrictIntegers:
+    """Every integer argument is ASCII digits with an optional leading '-'."""
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["local", "--m", "1_2", "--exponents", "3,4"], "--m"),
+            (["local", "--m", " 12", "--exponents", "3,4"], "--m"),
+            (["local", "--m", "x", "--exponents", "3,4"], "--m"),
+            (["local", "--m", "12", "--exponents", "+3, \u0664"], "--exponents item"),
+            (["local", "--m", "12", "--exponents", "3,4.0"], "--exponents item"),
+            (["construct", "--target-i", " +0"], "--target-i"),
+            (["construct", "--target-i", "Inf"], "--target-i"),
+            (["sasaki", "--values", "2,6,12", "--max-candidates", "1_000"], "--max-candidates"),
+            (["sasaki", "--values", "2,6,12", "--max-exceptions", "+3"], "--max-exceptions"),
+            (["enumerate", "--max-torsion-order", "4_0", "--max-k", "1"], "--max-torsion-order"),
+            (["enumerate", "--max-torsion-order", "8", "--max-k", "\uff11"], "--max-k"),
+            (["enumerate", "--max-torsion-order", "0x8", "--max-k", "1"], "--max-torsion-order"),
+        ],
+    )
+    def test_non_decimal_is_one_error_line(self, tmp_path, capsys, argv, what):
+        # int() accepted the first two and "+3, 4"; argparse's type=int
+        # refused "x" with a usage line on top of its error line
+        if argv[0] == "construct":
+            argv = argv + [write_json(tmp_path, "cls.json", HOMOLOGY_SPHERE)]
+        code, out, err = run_cli(capsys, *argv)
+        assert_input_error(code, out, err)
+        assert err.startswith(f"error: {what} ")
+
+    def test_decimal_arguments_are_accepted(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "local", "--m", "012", "--exponents", "3,04")
+        assert code == 0 and json.loads(out)["m"] == 12
+        path = write_json(tmp_path, "cls.json", HOMOLOGY_SPHERE)
+        assert run_cli(capsys, "construct", "--target-i", "00", path)[0] == 0
+        code, out, err = run_cli(capsys, "construct", "--target-i", "-1", path)
+        assert_input_error(code, out, err)
+        assert err == "error: invalid i value -1; must be >= 0\n"
+        code, out, _ = run_cli(capsys, "sasaki", "--values", "2,6,12", "--max-exceptions", "0",
+                               "--max-candidates", "0050")
+        assert code == 0 and json.loads(out)["witness"] == {"a": 1, "b": -3, "c": 2}
 
 
 class TestVerifyExpectUndecided:

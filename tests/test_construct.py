@@ -264,6 +264,20 @@ class TestEnumerate:
             enumerate_admissible_by_filter(max_order, max_k)
         )
 
+    @pytest.mark.parametrize("max_order, max_k", [(64, 3), (1024, 2)])
+    def test_gates_each_candidate_once(self, monkeypatch, max_order, max_k):
+        # build's gate alone decides: one call per (k, profile, i) candidate
+        calls = []
+        real = construct.circle_action_admissible
+
+        def spy(cls):
+            calls.append(cls)
+            return real(cls)
+
+        monkeypatch.setattr(construct, "circle_action_admissible", spy)
+        list(enumerate_admissible(max_order, max_k))
+        assert len(calls) == 3 * (max_k + 1) * len(_realizable_profiles(max_order))
+
     def test_omitted_profiles_are_unrealizable(self):
         n = 1024
         every = {tuple(sorted(counts.items())): counts for counts in _torsion_profiles(n)}

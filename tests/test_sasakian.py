@@ -128,16 +128,33 @@ class TestCoverSearch:
 
     def test_witness_found_before_cap_is_kept(self):
         # plenty of candidates, but a perfect witness appears early; the
-        # complete search tries fewer than 50 candidates, and t^2 - 3t + 2
-        # is found before cap 40 stops it
-        q, exceptions = quadratic_cover_search(degree_family(10), max_candidates=40)
+        # complete search tries 40 candidates, and t^2 - 3t + 2 (the 37th)
+        # is found before cap 39 stops it
+        q, exceptions = quadratic_cover_search(degree_family(10), max_candidates=39)
         assert all(q.contains(v) for v in degree_family(10))
         # the report keeps the witness but does not claim exhaustion
-        report = sasaki_check(degree_family(10), max_candidates=40)
+        report = sasaki_check(degree_family(10), max_candidates=39)
         assert report.feasible
         assert (report.witness, report.exceptions) == (q, exceptions)
         assert not report.search_complete
         assert sasaki_check(degree_family(10)).search_complete
+
+    def test_cap_bounds_every_candidate(self):
+        # The one- and two-point families (91 candidates for a pool of 13)
+        # used to run before the first cap check: cap 50 reported 91 tried.
+        values = [
+            157936138, 294336264, 295069959, 336981177, 347443278, 348013709,
+            472173950, 487076247, 715444065, 761473422, 768502976, 819884541,
+            887707639, 942737566, 944598045, 993457458,
+        ]
+        with pytest.raises(InconclusiveSearch) as exc:
+            quadratic_cover_search(values, max_exceptions=10, max_candidates=50)
+        assert exc.value.candidates_tried == 50
+        for cap in (1, 13, 90, 91, 92, 500):
+            try:
+                quadratic_cover_search(values, max_exceptions=10, max_candidates=cap)
+            except InconclusiveSearch as err:
+                assert err.candidates_tried == cap
 
     @pytest.mark.parametrize("limits", [
         {"max_exceptions": -1},
