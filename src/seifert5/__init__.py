@@ -6,15 +6,7 @@ the construction by recomputing every algebraic invariant from the
 presentation.  All arithmetic is exact.
 """
 
-from .abgroup import (
-    AbelianGroup,
-    IntMatrix,
-    PrimePower,
-    group_from_cokernel,
-    is_isomorphic,
-    primary_decomposition,
-    smith_normal_form,
-)
+from .abgroup import AbelianGroup, PrimePower
 from .classify import (
     INFINITY,
     FiveManifoldClass,
@@ -23,17 +15,7 @@ from .classify import (
     smale_barden_realizable,
     validate_i,
 )
-from .cohomology import (
-    INDETERMINATE,
-    CohomologyReport,
-    full_report,
-    h1_order,
-    h2_group,
-    h3_torsion,
-    simply_connected,
-    w2_class,
-    wu_invariant,
-)
+from .cohomology import INDETERMINATE, CohomologyReport, full_report, w2_class
 from .construct import (
     ConstructionDefect,
     GateRejection,
@@ -45,20 +27,12 @@ from .construct import (
     solve_unit_congruence,
     verify_roundtrip,
 )
-from .orbit_local import (
-    LocalInvariants,
-    OrbitInvariant,
-    StabilizerRep,
-    local_invariants,
-    orbit_invariant_from_rep,
-    reconstruct_rep,
-)
+from .orbit_local import LocalInvariants, StabilizerRep, local_invariants
 from .sasakian import (
     MAX_EXCEPTIONAL_VALUES,
     InconclusiveSearch,
     Quadratic,
     SasakiReport,
-    adjunction_genus,
     interval_density_check,
     quadratic_cover_search,
     sasaki_check,
@@ -70,7 +44,6 @@ from .seifert import (
     SeifertSpec,
     SpecSchemaError,
     SpecValidationError,
-    chern_class,
     chern_mu,
 )
 

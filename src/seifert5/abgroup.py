@@ -1,9 +1,8 @@
 """Exact arithmetic over finitely generated abelian groups.
 
-This is the substrate for the whole package: integer matrices with
-arbitrary-precision entries, Smith normal form with tracked unimodular
-transforms, primality and factorization, and groups presented as a free
-rank plus prime-power torsion counts.  A group
+This is the substrate for the whole package: deterministic primality and
+factorization, and groups presented as a free rank plus prime-power
+torsion counts.  A group
 
     Z^k  +  sum over (p, e) of (Z/p^e)^count
 
@@ -17,19 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
-    "IntMatrix",
     "PrimePower",
     "AbelianGroup",
-    "smith_normal_form",
-    "primary_decomposition",
-    "is_isomorphic",
-    "group_from_cokernel",
     "is_prime",
     "factorize",
-    "crt",
 ]
 
 
@@ -174,160 +167,6 @@ def _json_int(value, what: str, error: type[ValueError] = ValueError) -> int:
     return value
 
 
-def crt(residues: Iterable[int], moduli: Iterable[int]) -> int:
-    """Solve x = r_i (mod m_i) for pairwise coprime moduli.
-
-    Returns the unique solution in [0, prod m_i).
-
-    >>> crt([3, 0], [4, 3])
-    3
-    """
-    residues = list(residues)
-    moduli = list(moduli)
-    total = math.prod(moduli)
-    x = 0
-    for r, m in zip(residues, moduli):
-        if m == 1:
-            continue
-        q = total // m
-        x += r * q * pow(q, -1, m)
-    return x % total
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
-            raise ValueError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-
-def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize A over Z: returns (U, D, V) with U A V = D.
-
-    U and V are unimodular and D is diagonal with d_1 | d_2 | ... and
-    d_i >= 0.  The pivot is always the nonzero entry of smallest absolute
-    value, first in row-major order, so U and V are reproducible.
-
-    >>> U, D, V = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> D.diagonal()
-    (2, 4)
-    """
-    nrows, ncols = A.rows, A.cols
-    m = [list(row) for row in A.entries]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i: int) -> None:
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    def row_addmul(i: int, j: int, k: int) -> None:
-        # row i += k * row j
-        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
-        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
-
-    def col_addmul(j: int, i: int, k: int) -> None:
-        # col j += k * col i
-        for row in m:
-            row[j] += k * row[i]
-        for row in v:
-            row[j] += k * row[i]
-
-    n = min(nrows, ncols)
-    t = 0
-    while t < n:
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-
-        while True:
-            if m[t][t] < 0:
-                negate_row(t)
-            p = m[t][t]
-
-            # Clear the column below the pivot; floor quotients leave
-            # remainders in [0, p), strictly smaller than the pivot.
-            residue_row = None
-            for i in range(t + 1, nrows):
-                if m[i][t] != 0:
-                    row_addmul(i, t, -(m[i][t] // p))
-                    if m[i][t] != 0 and (residue_row is None or m[i][t] < m[residue_row][t]):
-                        residue_row = i
-            if residue_row is not None:
-                swap_rows(t, residue_row)
-                continue
-
-            residue_col = None
-            for j in range(t + 1, ncols):
-                if m[t][j] != 0:
-                    col_addmul(j, t, -(m[t][j] // p))
-                    if m[t][j] != 0 and (residue_col is None or m[t][j] < m[t][residue_col]):
-                        residue_col = j
-            if residue_col is not None:
-                swap_cols(t, residue_col)
-                continue
-
-            # Pivot row and column are clear.  Force the pivot to divide the
-            # remaining submatrix so the diagonal forms a divisor chain.
-            bad = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if m[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_addmul(t, bad, 1)
-        t += 1
-
-    U = IntMatrix.from_rows(u)
-    V = IntMatrix.from_rows(v)
-    D = IntMatrix.from_rows(m)
-    return U, D, V
-
-
 @dataclass(frozen=True, order=True)
 class PrimePower:
     """A prime power p**e with e >= 1; p is checked for primality."""
@@ -353,7 +192,7 @@ class AbelianGroup:
     Torsion is a tuple of (p, e, count) triples sorted by (p, e) with all
     counts positive, so `==` decides isomorphism.
 
-    >>> AbelianGroup.from_invariant_factors([12])
+    >>> AbelianGroup.from_counts(0, {(3, 1): 1, (2, 2): 1})
     AbelianGroup(free_rank=0, torsion=((2, 2, 1), (3, 1, 1)))
     >>> print(AbelianGroup.from_counts(1, {(5, 1): 2}))
     Z + (Z/5)^2
@@ -377,51 +216,11 @@ class AbelianGroup:
         )
 
     @classmethod
-    def trivial(cls) -> "AbelianGroup":
-        return cls()
-
-    @classmethod
-    def free(cls, rank: int) -> "AbelianGroup":
-        return cls(free_rank=rank)
-
-    @classmethod
     def from_counts(cls, free_rank: int, counts: Mapping[tuple[int, int], int]) -> "AbelianGroup":
         return cls(free_rank, tuple((p, e, c) for (p, e), c in counts.items()))
 
-    @classmethod
-    def from_invariant_factors(cls, factors: Iterable[int], free_rank: int = 0) -> "AbelianGroup":
-        return cls.from_counts(free_rank, primary_decomposition(factors))
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(sorted({p for p, _, _ in self.torsion}))
-
     def torsion_order(self) -> int:
         return math.prod((p ** e) ** c for p, e, c in self.torsion)
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
-        return AbelianGroup(self.free_rank + other.free_rank, self.torsion + other.torsion)
-
-    def invariant_factors(self) -> list[int]:
-        """Torsion invariant factors d_1 | d_2 | ..., ascending.
-
-        >>> AbelianGroup.from_invariant_factors([2, 12]).invariant_factors()
-        [2, 12]
-        """
-        per_prime: list[list[int]] = []
-        for p in self.primes():
-            values: list[int] = []
-            for q, e, c in self.torsion:
-                if q == p:
-                    values.extend([p ** e] * c)
-            per_prime.append(sorted(values, reverse=True))
-        width = max((len(v) for v in per_prime), default=0)
-        factors = []
-        for i in range(width):
-            factors.append(math.prod(v[i] for v in per_prime if i < len(v)))
-        return sorted(factors)
 
     def to_json_dict(self) -> dict:
         return {
@@ -465,42 +264,3 @@ class AbelianGroup:
             parts.append(f"({cyclic})^{c}" if c > 1 else f"({cyclic})")
         return " + ".join(parts) if parts else "0"
 
-
-def primary_decomposition(invariant_factors: Iterable[int]) -> dict[tuple[int, int], int]:
-    """Split cyclic factors Z/f into prime-power summands, as a count map.
-
-    >>> primary_decomposition([12])
-    {(2, 2): 1, (3, 1): 1}
-    >>> primary_decomposition([2, 2])
-    {(2, 1): 2}
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for f in invariant_factors:
-        if f < 2:
-            raise ValueError(f"invariant factor {f} < 2")
-        for p, e in factorize(f).items():
-            key = (p, e)
-            counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def is_isomorphic(g: AbelianGroup, h: AbelianGroup) -> bool:
-    """Groups in canonical form are isomorphic exactly when equal."""
-    return g == h
-
-
-def group_from_cokernel(A: IntMatrix) -> AbelianGroup:
-    """Cokernel of A viewed as a map Z^cols -> Z^rows.
-
-    >>> print(group_from_cokernel(IntMatrix.from_rows([[6]])))
-    (Z/2) + (Z/3)
-    """
-    _, d, _ = smith_normal_form(A)
-    diag = [x for x in d.diagonal() if x != 0]
-    free = A.rows - len(diag)
-    counts: dict[tuple[int, int], int] = {}
-    for x in diag:
-        for p, e in factorize(x).items():
-            key = (p, e)
-            counts[key] = counts.get(key, 0) + 1
-    return AbelianGroup.from_counts(free, counts)

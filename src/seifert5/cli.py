@@ -17,10 +17,10 @@ from typing import Optional
 from .abgroup import AbelianGroup
 from .classify import (
     FiveManifoldClass,
+    _doubled,
     circle_action_admissible,
     decode_i,
     encode_i,
-    smale_barden_realizable,
     validate_i,
 )
 from .cohomology import Indeterminate, compare, full_report
@@ -65,7 +65,8 @@ def _emit(document: dict, fmt: str, text_lines) -> None:
 def _cmd_classify(args) -> int:
     cls = FiveManifoldClass.from_json_dict(_parse_json(_read_input(args.input)))
     valid = validate_i(cls.h2, cls.i)
-    realizable = valid and smale_barden_realizable(cls)
+    # smale_barden_realizable would decide validate_i a second time.
+    realizable = valid and _doubled(cls.h2, cls.i)
     doc = {
         "h2": cls.h2.to_json_dict(),
         "i": encode_i(cls.i),

@@ -1,5 +1,8 @@
 """Recompute the invariants of a Seifert total space from its presentation.
 
+`full_report` is the one entry point: it computes every invariant below
+from a spec, and `compare` checks a report against an expected class.
+
 All formulas are the evaluated consequences, on a smooth connected-sum-of-
 CP^2 base, of the spectral sequence of the quotient map f: L -> X.  With
 H^1(X) = H^3(X) = 0 and H^2(X) free they collapse to exact integer linear
@@ -53,12 +56,7 @@ __all__ = [
     "INDETERMINATE",
     "Indeterminate",
     "CohomologyReport",
-    "h1_order",
-    "h2_group",
-    "h3_torsion",
     "w2_class",
-    "wu_invariant",
-    "simply_connected",
     "full_report",
     "Diff",
     "compare",
@@ -106,21 +104,13 @@ def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
     return rank
 
 
-def _factors(spec: SeifertSpec) -> list[dict[int, int]]:
-    return [factorize(d.m) for d in spec.divisors]
+def _torsion_counts(spec: SeifertSpec) -> dict[tuple[int, int], int]:
+    """Shared torsion of H_2 and H^3: (Z/m)^beta per divisor, by primary parts.
 
-
-def h1_order(spec: SeifertSpec) -> int:
-    """Order of H_1 of the total space; 1 means trivial, 0 means infinite.
-
-    The gcd of the coordinates of c1(L/mu); a primitive class gives
-    H_1 = 0.
+    Every multiplicity is factored, also those with beta = 0, so a
+    multiplicity the factorizer refuses is refused whatever its surface.
     """
-    return math.gcd(*chern_mu(spec))
-
-
-def _torsion_counts(spec: SeifertSpec, factors) -> dict[tuple[int, int], int]:
-    """Shared torsion of H_2 and H^3: (Z/m)^beta per divisor, by primary parts."""
+    factors = [factorize(d.m) for d in spec.divisors]
     counts: dict[tuple[int, int], int] = {}
     for d, f in zip(spec.divisors, factors):
         beta = d.surface.h1_mod2_dim
@@ -132,32 +122,6 @@ def _torsion_counts(spec: SeifertSpec, factors) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _require_trivial_h1(spec: SeifertSpec, what: str) -> tuple[int, ...]:
-    """c1(L/mu), for an invariant defined only when |H_1| = 1."""
-    c1_mu = chern_mu(spec)
-    order = math.gcd(*c1_mu)
-    if order != 1:
-        raise ValueError(f"{what} requires |H_1| = 1, but h1_order gave {order!r}")
-    return c1_mu
-
-
-def h2_group(spec: SeifertSpec) -> AbelianGroup:
-    """H_2 of the total space when H_1 = 0.
-
-    Free rank charts - 1; each divisor contributes (Z/m)^beta with
-    beta = dim H_1(D, Z/2), split into primary parts.  Genus-zero
-    orientable divisors contribute nothing.
-    """
-    _require_trivial_h1(spec, "h2_group")
-    return AbelianGroup.from_counts(spec.charts - 1, _torsion_counts(spec, _factors(spec)))
-
-
-def h3_torsion(spec: SeifertSpec) -> AbelianGroup:
-    """Torsion of H^3 of the total space; isomorphic to the H_2 torsion."""
-    _require_trivial_h1(spec, "h3_torsion")
-    return AbelianGroup.from_counts(0, _torsion_counts(spec, _factors(spec)))
-
-
 def w2_class(spec: SeifertSpec) -> tuple[int, ...]:
     """The class over the base whose pullback is w2 of the total space.
 
@@ -165,7 +129,8 @@ def w2_class(spec: SeifertSpec) -> tuple[int, ...]:
     + twist, reduced mod 2, in chart coordinates.
     """
     if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
-        raise ValueError("w2_class needs orientable divisors; use wu_invariant instead")
+        raise ValueError("w2_class needs orientable divisors; "
+                         "a nonorientable one forces Wu invariant 1")
     coords = [w + h for w, h in zip(base_w2(spec.charts), spec.twist)]
     for d in spec.divisors:
         coords[d.chart] += d.b
@@ -223,27 +188,6 @@ def _wu(spec: SeifertSpec, c1_mu: tuple[int, ...]):
     return 0 if _even_kernel_span(spec, c1_mu).contains(_bits(w2_class(spec))) else INFINITY
 
 
-def wu_invariant(spec: SeifertSpec):
-    """The Wu invariant of the total space: 0, 1 or INFINITY.
-
-    Requires |H_1| = 1.  A nonorientable divisor forces 1.  Otherwise let
-    w be the w2 class over the base and K2 the certified mod-2 kernel:
-    w in K2 certifies 0, and w outside K2 certifies INFINITY (see the
-    module docstring).
-    """
-    return _wu(spec, _require_trivial_h1(spec, "wu_invariant"))
-
-
-def simply_connected(spec: SeifertSpec) -> bool:
-    """Triviality of the fundamental group, via |H_1| = 1.
-
-    Every divisor is the generator of its chart: those are the standard
-    transverse arrangements, whose complements have abelian fundamental
-    group, so pi_1 vanishes exactly when H_1 does.
-    """
-    return h1_order(spec) == 1
-
-
 def _json_value(value):
     """Wire encoding of a report field: an H_1 order, a group or a Wu value."""
     if isinstance(value, Indeterminate):
@@ -281,25 +225,24 @@ def full_report(spec: SeifertSpec) -> CohomologyReport:
     """Compose the whole engine over one presentation.
 
     H_2 and the H^3 torsion are present exactly when |H_1| = 1; otherwise
-    the Wu invariant is reported INDETERMINATE.
+    the Wu invariant is reported INDETERMINATE.  The total space is simply
+    connected exactly when |H_1| = 1: every divisor is the generator of its
+    chart, and those standard transverse arrangements have complements with
+    abelian fundamental group, so pi_1 vanishes exactly when H_1 does.
     """
     c1_mu = chern_mu(spec)
     order = math.gcd(*c1_mu)
     m_x = spec.multiplicity_lcm()
     c1 = tuple(Fraction(x, m_x) for x in c1_mu)
+    h2 = h3 = None
+    wu = INDETERMINATE
     if order == 1:
-        counts = _torsion_counts(spec, _factors(spec))
+        counts = _torsion_counts(spec)
         h2 = AbelianGroup.from_counts(spec.charts - 1, counts)
         h3 = AbelianGroup.from_counts(0, counts)
         wu = _wu(spec, c1_mu)
-        sc = True
-    else:
-        h2 = None
-        h3 = None
-        wu = INDETERMINATE
-        sc = False
     return CohomologyReport(
-        h1_order=order, h2=h2, h3_tors=h3, c1=c1, c1_mu=c1_mu, wu=wu, simply_connected=sc
+        h1_order=order, h2=h2, h3_tors=h3, c1=c1, c1_mu=c1_mu, wu=wu, simply_connected=order == 1
     )
 
 

@@ -220,19 +220,12 @@ def verify_roundtrip(cls: FiveManifoldClass) -> CohomologyReport:
     Any field `compare` reports is a hard defect and raises, naming every
     field of the report that differs from `cls`.
     """
-    spec = build(cls)
-    report = full_report(spec)
-    if compare(report, cls):
-        problems = []
-        if report.h1_order != 1:
-            problems.append(f"|H_1| = {report.h1_order!r}, expected 1")
-        if not report.simply_connected:
-            problems.append("not simply connected")
-        if report.h2 != cls.h2:
-            problems.append(f"H_2 = {report.h2}, expected {cls.h2}")
-        if report.wu != cls.i:
-            problems.append(f"wu = {report.wu!r}, expected {cls.i!r}")
-        raise ConstructionDefect("; ".join(problems))
+    report = full_report(build(cls))
+    diffs = compare(report, cls)
+    if diffs:
+        raise ConstructionDefect(
+            "; ".join(f"{d.field} = {d.actual}, expected {d.expected}" for d in diffs)
+        )
     return report
 
 

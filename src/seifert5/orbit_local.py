@@ -9,11 +9,8 @@ the exponents we derive, for each coordinate,
 
 which are pairwise coprime with product C dividing m.  The subgroup Z/c_i
 fixes everything but the i-th coordinate (a quasi-reflection subgroup), and
-the quotient of the slice is a manifold exactly when C = m.
-
-Codimension-two fixed curves carry the orbit invariant (m, b) with
-b * j = 1 (mod m); the inverse-exponent pairs (c_i, b_i) determine the
-original representation by a Chinese-remainder reconstruction.
+the quotient of the slice is a manifold exactly when C = m.  Prefix and
+suffix gcds give every c_i in O(r) gcds.
 """
 
 from __future__ import annotations
@@ -21,15 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .abgroup import crt
-
 __all__ = [
     "StabilizerRep",
     "LocalInvariants",
-    "OrbitInvariant",
     "local_invariants",
-    "orbit_invariant_from_rep",
-    "reconstruct_rep",
 ]
 
 
@@ -39,8 +31,7 @@ class StabilizerRep:
 
     Faithful means gcd(j_1, ..., j_r, m) = 1.  Exponents are kept in the
     given slot order; exchanging j with m - j in a slot is the unresolved
-    orientation choice of that coordinate's normal plane, and
-    :meth:`canonical` fixes it by picking j <= m - j slotwise (sorted).
+    orientation choice of that coordinate's normal plane.
     """
 
     m: int
@@ -55,13 +46,6 @@ class StabilizerRep:
                 raise ValueError(f"exponent {j} out of range [1, {self.m})")
         if math.gcd(*self.exponents, self.m) != 1:
             raise ValueError("representation is not faithful (common divisor of exponents and m)")
-
-    @property
-    def r(self) -> int:
-        return len(self.exponents)
-
-    def canonical(self) -> "StabilizerRep":
-        return StabilizerRep(self.m, tuple(sorted(min(j, self.m - j) for j in self.exponents)))
 
 
 @dataclass(frozen=True)
@@ -80,22 +64,6 @@ class LocalInvariants:
     manifold_point: bool
 
 
-@dataclass(frozen=True)
-class OrbitInvariant:
-    """Multiplicity m with b = j^(-1) mod m, 1 <= b < m, gcd(b, m) = 1."""
-
-    m: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("orbit invariant needs m >= 2")
-        if not 1 <= self.b < self.m:
-            raise ValueError(f"b = {self.b} out of range [1, {self.m})")
-        if math.gcd(self.b, self.m) != 1:
-            raise ValueError(f"gcd({self.b}, {self.m}) != 1")
-
-
 def local_invariants(rep: StabilizerRep) -> LocalInvariants:
     """Compute the gcd invariants (c_i), C and the manifold-point test.
 
@@ -108,10 +76,15 @@ def local_invariants(rep: StabilizerRep) -> LocalInvariants:
     False
     """
     js = rep.exponents
-    c = tuple(
-        math.gcd(*(js[l] for l in range(len(js)) if l != i), rep.m)
-        for i in range(len(js))
-    )
+    # prefix[i] = gcd(m, js[:i]) and suffix[i] = gcd(js[i:]), so slot i
+    # leaves out js[i] alone.
+    prefix = [rep.m]
+    for j in js:
+        prefix.append(math.gcd(prefix[-1], j))
+    suffix = [0] * (len(js) + 1)
+    for i in range(len(js) - 1, -1, -1):
+        suffix[i] = math.gcd(js[i], suffix[i + 1])
+    c = tuple(math.gcd(prefix[i], suffix[i + 1]) for i in range(len(js)))
     big_c = math.prod(c)
     d = []
     for j, ci in zip(js, c):
@@ -121,49 +94,3 @@ def local_invariants(rep: StabilizerRep) -> LocalInvariants:
         d.append(j // step)
     return LocalInvariants(c=c, d=tuple(d), C=big_c, manifold_point=big_c == rep.m)
 
-
-def orbit_invariant_from_rep(m: int, j: int) -> OrbitInvariant:
-    """Invert the defining exponent: the unique 1 <= b < m with b*j = 1 (mod m).
-
-    >>> orbit_invariant_from_rep(5, 2)
-    OrbitInvariant(m=5, b=3)
-    """
-    if m < 2:
-        raise ValueError("multiplicity must be >= 2")
-    if math.gcd(j, m) != 1:
-        raise ValueError(f"gcd({j}, {m}) != 1")
-    return OrbitInvariant(m, pow(j, -1, m))
-
-
-def reconstruct_rep(invariants: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> StabilizerRep:
-    """Rebuild the slice representation from its divisor data (c_i, b_i).
-
-    Solves, for each slot i, the congruences
-
-        j_i = b_i^(-1) (mod c_i)    and    j_i = 0 (mod c_l) for l != i,
-
-    over the pairwise coprime moduli, giving exponents mod m = prod c_i.
-    The result round-trips through :func:`local_invariants`.
-
-    >>> reconstruct_rep([(4, 3), (3, 1)]).exponents
-    (3, 4)
-    """
-    invariants = tuple(invariants)
-    if not invariants:
-        raise ValueError("need at least one (c, b) pair")
-    cs = [c for c, _ in invariants]
-    for c, b in invariants:
-        if c < 2:
-            raise ValueError(f"multiplicity {c} < 2")
-        if not 1 <= b < c or math.gcd(b, c) != 1:
-            raise ValueError(f"invalid orbit invariant ({c}, {b})")
-    for a in range(len(cs)):
-        for b_ in range(a + 1, len(cs)):
-            if math.gcd(cs[a], cs[b_]) != 1:
-                raise ValueError(f"multiplicities {cs[a]} and {cs[b_]} are not coprime")
-    m = math.prod(cs)
-    exponents = []
-    for i, (c, b) in enumerate(invariants):
-        residues = [pow(b, -1, c) if l == i else 0 for l, c_l in enumerate(cs)]
-        exponents.append(crt(residues, cs))
-    return StabilizerRep(m, tuple(exponents))

@@ -82,7 +82,6 @@ __all__ = [
     "InconclusiveSearch",
     "interval_density_check",
     "quadratic_cover_search",
-    "adjunction_genus",
     "sasaki_check",
 ]
 
@@ -351,19 +350,6 @@ def _cover_search(
         return result(), False
 
     return (None if best is None else result()), True
-
-
-def adjunction_genus(degree: int) -> int:
-    """Genus of a smooth plane curve of the given degree: (d-1)(d-2)/2.
-
-    This is 2g = D.(D + K) + 2 with D = d times a line and K = -3 lines.
-
-    >>> [adjunction_genus(d) for d in (1, 2, 3, 6)]
-    [0, 0, 1, 10]
-    """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    return (degree - 1) * (degree - 2) // 2
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from .abgroup import _json_int
@@ -43,7 +42,6 @@ __all__ = [
     "SpecValidationError",
     "SpecSchemaError",
     "base_w2",
-    "chern_class",
     "chern_mu",
     "COPRIMALITY",
     "BAD_ORBIT_INVARIANT",
@@ -296,15 +294,6 @@ class SeifertSpec:
     @classmethod
     def from_json(cls, text: str) -> "SeifertSpec":
         return cls.from_json_dict(json.loads(text))
-
-
-def chern_class(spec: SeifertSpec) -> tuple[Fraction, ...]:
-    """c1 of the total space over the base: twist + sum of (b/m) [D], exact.
-
-    Linear in the twist vector; equal to chern_mu(spec) / m(X).
-    """
-    m_x = spec.multiplicity_lcm()
-    return tuple(Fraction(x, m_x) for x in chern_mu(spec))
 
 
 def chern_mu(spec: SeifertSpec) -> tuple[int, ...]:

@@ -1,11 +1,14 @@
-"""Reference implementations that the library replaced, kept as test oracles."""
+"""Reference implementations that the library replaced, kept as test oracles,
+and the code that only tests reach: the integer-matrix substrate with Smith
+normal form, abelian-group helpers, the Chinese-remainder reconstruction of
+a slice representation, and the adjunction genus."""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from seifert5.abgroup import AbelianGroup, IntMatrix, group_from_cokernel
+from seifert5.abgroup import AbelianGroup, factorize
 from seifert5.classify import (
     INFINITY,
     INVALID_I,
@@ -19,6 +22,7 @@ from seifert5.classify import (
 )
 from seifert5.cohomology import INDETERMINATE, CohomologyReport
 from seifert5.construct import _torsion_profiles, build
+from seifert5.orbit_local import LocalInvariants, StabilizerRep
 from seifert5.sasakian import (
     DEFAULT_CANDIDATE_CAP,
     MAX_EXCEPTIONAL_VALUES,
@@ -29,6 +33,157 @@ from seifert5.seifert import Nonorientable
 
 
 # -- integer matrices -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """Immutable integer matrix, entries stored row-major."""
+
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if not self.entries or not self.entries[0]:
+            raise ValueError("matrix needs at least one row and one column")
+        width = len(self.entries[0])
+        if any(len(row) != width for row in self.entries):
+            raise ValueError("ragged rows")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
+        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
+
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
+
+
+def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Diagonalize A over Z: returns (U, D, V) with U A V = D.
+
+    U and V are unimodular and D is diagonal with d_1 | d_2 | ... and
+    d_i >= 0.  The pivot is always the nonzero entry of smallest absolute
+    value, first in row-major order, so U and V are reproducible.
+
+    >>> U, D, V = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    >>> D.diagonal()
+    (2, 4)
+    """
+    nrows, ncols = A.rows, A.cols
+    m = [list(row) for row in A.entries]
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def swap_rows(i: int, j: int) -> None:
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def negate_row(i: int) -> None:
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    def row_addmul(i: int, j: int, k: int) -> None:
+        # row i += k * row j
+        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+
+    def col_addmul(j: int, i: int, k: int) -> None:
+        # col j += k * col i
+        for row in m:
+            row[j] += k * row[i]
+        for row in v:
+            row[j] += k * row[i]
+
+    n = min(nrows, ncols)
+    t = 0
+    while t < n:
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            swap_rows(t, pivot[0])
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
+
+        while True:
+            if m[t][t] < 0:
+                negate_row(t)
+            p = m[t][t]
+
+            # Clear the column below the pivot; floor quotients leave
+            # remainders in [0, p), strictly smaller than the pivot.
+            residue_row = None
+            for i in range(t + 1, nrows):
+                if m[i][t] != 0:
+                    row_addmul(i, t, -(m[i][t] // p))
+                    if m[i][t] != 0 and (residue_row is None or m[i][t] < m[residue_row][t]):
+                        residue_row = i
+            if residue_row is not None:
+                swap_rows(t, residue_row)
+                continue
+
+            residue_col = None
+            for j in range(t + 1, ncols):
+                if m[t][j] != 0:
+                    col_addmul(j, t, -(m[t][j] // p))
+                    if m[t][j] != 0 and (residue_col is None or m[t][j] < m[t][residue_col]):
+                        residue_col = j
+            if residue_col is not None:
+                swap_cols(t, residue_col)
+                continue
+
+            # Pivot row and column are clear.  Force the pivot to divide the
+            # remaining submatrix so the diagonal forms a divisor chain.
+            bad = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if m[i][j] % p != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_addmul(t, bad, 1)
+        t += 1
+
+    U = IntMatrix.from_rows(u)
+    V = IntMatrix.from_rows(v)
+    D = IntMatrix.from_rows(m)
+    return U, D, V
+
+
+def group_from_cokernel(A: IntMatrix) -> AbelianGroup:
+    """Cokernel of A viewed as a map Z^cols -> Z^rows.
+
+    >>> print(group_from_cokernel(IntMatrix.from_rows([[6]])))
+    (Z/2) + (Z/3)
+    """
+    _, d, _ = smith_normal_form(A)
+    diag = [x for x in d.diagonal() if x != 0]
+    free = A.rows - len(diag)
+    counts: dict[tuple[int, int], int] = {}
+    for x in diag:
+        for p, e in factorize(x).items():
+            key = (p, e)
+            counts[key] = counts.get(key, 0) + 1
+    return AbelianGroup.from_counts(free, counts)
 
 
 def identity(n: int) -> IntMatrix:
@@ -71,6 +226,64 @@ def det(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+# -- abelian groups ---------------------------------------------------------
+
+
+def primary_decomposition(invariant_factors: Iterable[int]) -> dict[tuple[int, int], int]:
+    """Split cyclic factors Z/f into prime-power summands, as a count map.
+
+    >>> primary_decomposition([12])
+    {(2, 2): 1, (3, 1): 1}
+    >>> primary_decomposition([2, 2])
+    {(2, 1): 2}
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for f in invariant_factors:
+        if f < 2:
+            raise ValueError(f"invariant factor {f} < 2")
+        for p, e in factorize(f).items():
+            key = (p, e)
+            counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def from_invariant_factors(factors: Iterable[int], free_rank: int = 0) -> AbelianGroup:
+    return AbelianGroup.from_counts(free_rank, primary_decomposition(factors))
+
+
+def primes(g: AbelianGroup) -> tuple[int, ...]:
+    return tuple(sorted({p for p, _, _ in g.torsion}))
+
+
+def invariant_factors(g: AbelianGroup) -> list[int]:
+    """Torsion invariant factors d_1 | d_2 | ..., ascending.
+
+    >>> invariant_factors(from_invariant_factors([2, 12]))
+    [2, 12]
+    """
+    per_prime: list[list[int]] = []
+    for p in primes(g):
+        values: list[int] = []
+        for q, e, c in g.torsion:
+            if q == p:
+                values.extend([p ** e] * c)
+        per_prime.append(sorted(values, reverse=True))
+    width = max((len(v) for v in per_prime), default=0)
+    factors = []
+    for i in range(width):
+        factors.append(math.prod(v[i] for v in per_prime if i < len(v)))
+    return sorted(factors)
+
+
+def direct_sum(g: AbelianGroup, h: AbelianGroup) -> AbelianGroup:
+    return AbelianGroup(g.free_rank + h.free_rank, g.torsion + h.torsion)
+
+
+def is_isomorphic(g: AbelianGroup, h: AbelianGroup) -> bool:
+    """Groups in canonical form are isomorphic exactly when equal."""
+    return g == h
 
 
 # -- primes by trial division -----------------------------------------------
@@ -291,7 +504,7 @@ def circle_action_admissible_reference(cls):
     elif not smale_barden_realizable_reference(cls):
         violated.add(NOT_REALIZABLE)
 
-    for p in cls.h2.primes():
+    for p in primes(cls.h2):
         if len(_nonzero_powers(cls.h2, p)) > k + 1:
             violated.add(R1_PRIME_COUNT)
             break
@@ -316,6 +529,131 @@ def enumerate_admissible_by_filter(max_torsion_order, max_k):
                 cls = FiveManifoldClass(group, i)
                 if circle_action_admissible_reference(cls).admissible:
                     yield cls, build(cls)
+
+
+# -- slice representations --------------------------------------------------
+
+
+def local_invariants_reference(rep: StabilizerRep) -> LocalInvariants:
+    """local_invariants with each c_i taken as its own gcd over the other
+    r - 1 exponents: O(r^2) work."""
+    js = rep.exponents
+    c = tuple(
+        math.gcd(*(js[l] for l in range(len(js)) if l != i), rep.m)
+        for i in range(len(js))
+    )
+    big_c = math.prod(c)
+    d = []
+    for j, ci in zip(js, c):
+        step = big_c // ci
+        if j % step != 0:
+            raise ArithmeticError(f"C/c_i = {step} does not divide exponent {j}")
+        d.append(j // step)
+    return LocalInvariants(c=c, d=tuple(d), C=big_c, manifold_point=big_c == rep.m)
+
+
+def canonical(rep: StabilizerRep) -> StabilizerRep:
+    """Fix each slot's orientation choice by picking j <= m - j (sorted)."""
+    return StabilizerRep(rep.m, tuple(sorted(min(j, rep.m - j) for j in rep.exponents)))
+
+
+def crt(residues: Iterable[int], moduli: Iterable[int]) -> int:
+    """Solve x = r_i (mod m_i) for pairwise coprime moduli.
+
+    Returns the unique solution in [0, prod m_i).
+
+    >>> crt([3, 0], [4, 3])
+    3
+    """
+    residues = list(residues)
+    moduli = list(moduli)
+    total = math.prod(moduli)
+    x = 0
+    for r, m in zip(residues, moduli):
+        if m == 1:
+            continue
+        q = total // m
+        x += r * q * pow(q, -1, m)
+    return x % total
+
+
+@dataclass(frozen=True)
+class OrbitInvariant:
+    """Multiplicity m with b = j^(-1) mod m, 1 <= b < m, gcd(b, m) = 1."""
+
+    m: int
+    b: int
+
+    def __post_init__(self) -> None:
+        if self.m < 2:
+            raise ValueError("orbit invariant needs m >= 2")
+        if not 1 <= self.b < self.m:
+            raise ValueError(f"b = {self.b} out of range [1, {self.m})")
+        if math.gcd(self.b, self.m) != 1:
+            raise ValueError(f"gcd({self.b}, {self.m}) != 1")
+
+
+def orbit_invariant_from_rep(m: int, j: int) -> OrbitInvariant:
+    """Invert the defining exponent: the unique 1 <= b < m with b*j = 1 (mod m).
+
+    >>> orbit_invariant_from_rep(5, 2)
+    OrbitInvariant(m=5, b=3)
+    """
+    if m < 2:
+        raise ValueError("multiplicity must be >= 2")
+    if math.gcd(j, m) != 1:
+        raise ValueError(f"gcd({j}, {m}) != 1")
+    return OrbitInvariant(m, pow(j, -1, m))
+
+
+def reconstruct_rep(invariants: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> StabilizerRep:
+    """Rebuild the slice representation from its divisor data (c_i, b_i).
+
+    Solves, for each slot i, the congruences
+
+        j_i = b_i^(-1) (mod c_i)    and    j_i = 0 (mod c_l) for l != i,
+
+    over the pairwise coprime moduli, giving exponents mod m = prod c_i.
+    The result round-trips through `local_invariants`.
+
+    >>> reconstruct_rep([(4, 3), (3, 1)]).exponents
+    (3, 4)
+    """
+    invariants = tuple(invariants)
+    if not invariants:
+        raise ValueError("need at least one (c, b) pair")
+    cs = [c for c, _ in invariants]
+    for c, b in invariants:
+        if c < 2:
+            raise ValueError(f"multiplicity {c} < 2")
+        if not 1 <= b < c or math.gcd(b, c) != 1:
+            raise ValueError(f"invalid orbit invariant ({c}, {b})")
+    for a in range(len(cs)):
+        for b_ in range(a + 1, len(cs)):
+            if math.gcd(cs[a], cs[b_]) != 1:
+                raise ValueError(f"multiplicities {cs[a]} and {cs[b_]} are not coprime")
+    m = math.prod(cs)
+    exponents = []
+    for i, (c, b) in enumerate(invariants):
+        residues = [pow(b, -1, c) if l == i else 0 for l, c_l in enumerate(cs)]
+        exponents.append(crt(residues, cs))
+    return StabilizerRep(m, tuple(exponents))
+
+
+# -- the Sasakian checks ----------------------------------------------------
+
+
+def adjunction_genus(degree: int) -> int:
+    """Genus of a smooth plane curve of the given degree: (d-1)(d-2)/2.
+
+    This is 2g = D.(D + K) + 2 with D = d times a line and K = -3 lines.
+
+    >>> [adjunction_genus(d) for d in (1, 2, 3, 6)]
+    [0, 0, 1, 10]
+    """
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    return (degree - 1) * (degree - 2) // 2
 
 
 def quadratic_interval_count(q: Quadratic, lo: int, hi: int) -> int:

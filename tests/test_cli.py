@@ -73,6 +73,25 @@ class TestClassify:
         assert code == 0
         assert "realizable" in out
 
+    @pytest.mark.parametrize("count, i, realizable", [(4, 0, True), (3, 0, False), (1, 2, False)])
+    def test_decides_validate_i_once(self, tmp_path, capsys, monkeypatch, count, i, realizable):
+        from seifert5 import classify
+
+        calls = []
+        real = classify.validate_i
+
+        def spy(h2, i):
+            calls.append((h2, i))
+            return real(h2, i)
+
+        monkeypatch.setattr(classify, "validate_i", spy)
+        monkeypatch.setattr(cli, "validate_i", spy)
+        cls = {"free_rank": 0, "torsion": [{"p": 5, "e": 1, "count": count}], "i": i}
+        code, out, _ = run_cli(capsys, "classify", write_json(tmp_path, "cls.json", cls))
+        assert json.loads(out)["realizable"] is realizable
+        assert code == (0 if realizable else 1)
+        assert len(calls) == 1
+
 
 class TestConstruct:
     def test_build_and_verify(self, tmp_path, capsys):

@@ -7,17 +7,7 @@ import pytest
 
 from seifert5.abgroup import AbelianGroup
 from seifert5.classify import INFINITY, FiveManifoldClass, circle_action_admissible
-from seifert5.cohomology import (
-    INDETERMINATE,
-    compare,
-    full_report,
-    h1_order,
-    h2_group,
-    h3_torsion,
-    simply_connected,
-    w2_class,
-    wu_invariant,
-)
+from seifert5.cohomology import INDETERMINATE, compare, full_report, w2_class
 from seifert5.construct import build, enumerate_admissible
 from seifert5.seifert import (
     BAD_H2_CLASS,
@@ -26,7 +16,6 @@ from seifert5.seifert import (
     Orientable,
     SeifertSpec,
     SpecValidationError,
-    chern_class,
     chern_mu,
 )
 
@@ -41,6 +30,16 @@ from oracles import (
 
 def spec_of(divisors, twist, charts=1):
     return SeifertSpec(charts=charts, divisors=tuple(divisors), twist=tuple(twist))
+
+
+def _report_field(name):
+    """The invariant `name` of a spec, read off its full report."""
+    return lambda spec: getattr(full_report(spec), name)
+
+
+h1_order = _report_field("h1_order")
+wu_invariant = _report_field("wu")
+simply_connected = _report_field("simply_connected")
 
 
 def brute_force_surjective(rows, moduli, charts):
@@ -94,7 +93,8 @@ class TestRestriction:
             checked += 1
             assert brute_force_surjective(rows, moduli, spec.charts)
             c1_mu = chern_mu(spec)
-            assert h1_order(spec) == math.gcd(*c1_mu) == _h1_order_reference(rows, moduli, c1_mu)
+            assert (full_report(spec).h1_order == math.gcd(*c1_mu)
+                    == _h1_order_reference(rows, moduli, c1_mu))
 
 
 class TestH1:
@@ -127,21 +127,21 @@ class TestH1:
 
 class TestH2H3:
     def test_genus_two(self):
-        spec = spec_of([Divisor(0, Orientable(2), 5, 1)], [0])
-        assert h2_group(spec) == AbelianGroup.from_counts(0, {(5, 1): 4})
-        assert h3_torsion(spec) == AbelianGroup.from_counts(0, {(5, 1): 4})
+        report = full_report(spec_of([Divisor(0, Orientable(2), 5, 1)], [0]))
+        assert report.h2 == AbelianGroup.from_counts(0, {(5, 1): 4})
+        assert report.h3_tors == AbelianGroup.from_counts(0, {(5, 1): 4})
 
     def test_genus_zero_contributes_nothing(self):
         spec = spec_of([Divisor(0, Orientable(0), 7, 1)], [0])
-        assert h2_group(spec).is_trivial()
+        assert full_report(spec).h2 == AbelianGroup()
 
     def test_composite_multiplicity_splits(self):
         spec = spec_of([Divisor(0, Orientable(1), 6, 1)], [0])
-        assert h2_group(spec) == AbelianGroup.from_counts(0, {(2, 1): 2, (3, 1): 2})
+        assert full_report(spec).h2 == AbelianGroup.from_counts(0, {(2, 1): 2, (3, 1): 2})
 
     def test_nonorientable_contribution(self):
         spec = spec_of([Divisor(0, Nonorientable(3), 2, 1)], [0])
-        assert h2_group(spec) == AbelianGroup.from_counts(0, {(2, 1): 3})
+        assert full_report(spec).h2 == AbelianGroup.from_counts(0, {(2, 1): 3})
 
     def test_free_rank_is_charts_minus_one(self):
         spec = SeifertSpec(
@@ -149,15 +149,16 @@ class TestH2H3:
             divisors=(Divisor(2, Orientable(0), 2, 1),),
             twist=(0, -1, 0),
         )
-        assert h1_order(spec) == 1
-        assert h2_group(spec).free_rank == 2
+        report = full_report(spec)
+        assert report.h1_order == 1
+        assert report.h2.free_rank == 2
 
     def test_requires_trivial_h1(self):
-        spec = spec_of([Divisor(0, Orientable(1), 3, 1)], [1])
-        with pytest.raises(ValueError, match="H_1"):
-            h2_group(spec)
-        with pytest.raises(ValueError, match="H_1"):
-            h3_torsion(spec)
+        # |H_1| = 4: the report leaves H_2 and the H^3 torsion undetermined.
+        report = full_report(spec_of([Divisor(0, Orientable(1), 3, 1)], [1]))
+        assert report.h1_order == 4
+        assert report.h2 is None
+        assert report.h3_tors is None
 
     def test_h2_torsion_matches_h3(self):
         rng = random.Random(59)
@@ -168,10 +169,11 @@ class TestH2H3:
             g = rng.randint(0, 3)
             h = rng.randint(-3, 3)
             spec = spec_of([Divisor(0, Orientable(g), m, b)], [h])
-            if h1_order(spec) != 1:
+            report = full_report(spec)
+            if report.h1_order != 1:
                 continue
             checked += 1
-            assert h2_group(spec).torsion == h3_torsion(spec).torsion
+            assert report.h2.torsion == report.h3_tors.torsion
 
 
 class TestW2:
@@ -188,7 +190,7 @@ class TestW2:
 
     def test_nonorientable_rejected(self):
         spec = spec_of([Divisor(0, Nonorientable(1), 2, 1)], [0])
-        with pytest.raises(ValueError, match="wu_invariant"):
+        with pytest.raises(ValueError, match="forces Wu invariant 1"):
             w2_class(spec)
 
 
@@ -248,9 +250,10 @@ class TestWu:
                 )
             except SpecValidationError:
                 continue
-            if h1_order(spec) != 1:
+            report = full_report(spec)
+            if report.h1_order != 1:
                 continue
-            result = wu_invariant(spec)
+            result = report.wu
             unit = [tuple(int(l == j) for l in range(charts)) for j in range(charts)]
             k2_vectors = [chern_mu(spec)] + [unit[d.chart] for d in divisors if d.m % 2 == 0]
             w = w2_class(spec)
@@ -269,14 +272,14 @@ class TestWu:
         # one certificate excludes the other by construction; spot check a family
         for h in range(-3, 4):
             spec = spec_of([Divisor(0, Orientable(1), 3, 1)], [h])
-            if h1_order(spec) != 1:
+            report = full_report(spec)
+            if report.h1_order != 1:
                 continue
-            assert wu_invariant(spec) in (0, INFINITY, INDETERMINATE)
+            assert report.wu in (0, INFINITY, INDETERMINATE)
 
     def test_requires_trivial_h1(self):
-        spec = spec_of([Divisor(0, Orientable(1), 3, 1)], [1])
-        with pytest.raises(ValueError):
-            wu_invariant(spec)
+        # |H_1| = 4: the report certifies no Wu invariant.
+        assert wu_invariant(spec_of([Divisor(0, Orientable(1), 3, 1)], [1])) is INDETERMINATE
 
 
 class TestSimplyConnected:
@@ -286,9 +289,19 @@ class TestSimplyConnected:
         assert simply_connected(spec_of([], [1]))
 
 
+# Each id names an invariant; all but w2_class and chern_mu are report fields.
 @pytest.mark.parametrize(
     "invariant",
-    [h1_order, h2_group, h3_torsion, w2_class, wu_invariant, full_report, chern_class, chern_mu],
+    [
+        pytest.param(_report_field("h1_order"), id="h1_order"),
+        pytest.param(_report_field("h2"), id="h2_group"),
+        pytest.param(_report_field("h3_tors"), id="h3_torsion"),
+        pytest.param(w2_class, id="w2_class"),
+        pytest.param(_report_field("wu"), id="wu_invariant"),
+        pytest.param(full_report, id="full_report"),
+        pytest.param(_report_field("c1"), id="chern_class"),
+        pytest.param(chern_mu, id="chern_mu"),
+    ],
 )
 def test_invariants_refuse_non_generator_classes(invariant):
     # A non-generator class is refused when the spec is decoded, so no invariant

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from seifert5.orbit_local import (
-    LocalInvariants,
+from seifert5.orbit_local import LocalInvariants, StabilizerRep, local_invariants
+
+from oracles import (
     OrbitInvariant,
-    StabilizerRep,
-    local_invariants,
+    canonical,
+    local_invariants_reference,
     orbit_invariant_from_rep,
     reconstruct_rep,
 )
@@ -39,8 +40,8 @@ class TestStabilizerRep:
 
     def test_canonical_form(self):
         rep = StabilizerRep(7, (5, 2))
-        assert rep.canonical().exponents == (2, 2)
-        assert StabilizerRep(2, (1,)).canonical().exponents == (1,)
+        assert canonical(rep).exponents == (2, 2)
+        assert canonical(StabilizerRep(2, (1,))).exponents == (1,)
 
 
 class TestLocalInvariants:
@@ -79,6 +80,30 @@ class TestLocalInvariants:
                 continue
             got = local_invariants(StabilizerRep(m, js)).manifold_point
             assert got == quasi_reflection_oracle(m, js), (m, js)
+
+    def test_against_quadratic_reference(self):
+        # Prefix and suffix gcds against one gcd per slot over the others.
+        rng = random.Random(29)
+        checked = 0
+        while checked < 3000:
+            m = rng.randint(1, 400)
+            r = rng.randint(0, 6)
+            js = tuple(rng.randint(1, m - 1) for _ in range(r)) if m > 1 else ()
+            if math.gcd(*js, m) != 1:
+                continue
+            checked += 1
+            rep = StabilizerRep(m, js)
+            assert local_invariants(rep) == local_invariants_reference(rep), (m, js)
+
+    def test_twenty_thousand_slots(self):
+        # m = 6: slot 0 alone is odd, every slot but 0 is prime to 3, so
+        # c_0 = gcd(6, evens) = 2 and every other c_i = gcd(6, 3, evens) = 1.
+        js = (3,) + (2, 4) * 9_999 + (2,)
+        inv = local_invariants(StabilizerRep(6, js))
+        assert len(js) == 20_000
+        assert inv.c == (2,) + (1,) * 19_999
+        assert inv.d == (3,) + tuple(j // 2 for j in js[1:])
+        assert (inv.C, inv.manifold_point) == (2, False)
 
 
 class TestOrbitInvariant:

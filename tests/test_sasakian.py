@@ -10,13 +10,13 @@ from seifert5.sasakian import (
     DensityViolation,
     InconclusiveSearch,
     Quadratic,
-    adjunction_genus,
     interval_density_check,
     quadratic_cover_search,
     sasaki_check,
 )
 
 from oracles import (
+    adjunction_genus,
     divisors_by_trial_division,
     pruned_cover_search_reference,
     quadratic_cover_search_reference,
