@@ -39,6 +39,10 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_UNDECIDED = 3
 
+# The density check tests every pair of values, so `sasaki` takes at most
+# this many (with duplicates), from --values or from a group's torsion.
+MAX_SASAKI_VALUES = 1000
+
 
 def _read_input(path: Optional[str]) -> str:
     if path is None or path == "-":
@@ -193,6 +197,8 @@ def _cmd_sasaki(args) -> int:
         values = []
         for _, _, c in group.torsion:
             values.append(c)
+    if len(values) > MAX_SASAKI_VALUES:
+        raise ValueError(f"sasaki takes at most {MAX_SASAKI_VALUES:,} values, got {len(values):,}")
     try:
         report = sasaki_check(values, max_exceptions=max_exceptions,
                               max_candidates=max_candidates)

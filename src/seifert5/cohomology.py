@@ -107,16 +107,15 @@ def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
 def _torsion_counts(spec: SeifertSpec) -> dict[tuple[int, int], int]:
     """Shared torsion of H_2 and H^3: (Z/m)^beta per divisor, by primary parts.
 
-    Every multiplicity is factored, also those with beta = 0, so a
-    multiplicity the factorizer refuses is refused whatever its surface.
+    Only the multiplicities with beta > 0 are factored; the spec decoder
+    bounds every multiplicity below where the factorizer refuses.
     """
-    factors = [factorize(d.m) for d in spec.divisors]
     counts: dict[tuple[int, int], int] = {}
-    for d, f in zip(spec.divisors, factors):
+    for d in spec.divisors:
         beta = d.surface.h1_mod2_dim
         if beta == 0:
             continue
-        for p, e in f.items():
+        for p, e in factorize(d.m).items():
             key = (p, e)
             counts[key] = counts.get(key, 0) + beta
     return counts

@@ -57,6 +57,24 @@ and t3*(t3 + g) <= w3 (for 0 < t3 < t2, t3*(t3 + g) < t2*(t2 + g) = w2 <
 w3).  Once positive, t3*(t3 + g) grows with |t3|, so each side is a
 leading run of the divisors by ascending |t3|; no other pair is tested.
 
+A last cut scores a triple candidate above v3 before anywhere else.
+Take one from pool indices i1 < i2 < i3 that is not yet scored.  If it
+covers a value u below v1, the candidate of its image built from its
+smallest covered value misses the same values with a smaller (|b|, c);
+its v1, v2, v3 lie at indices below i1, at most i1 and at most i2, a
+triple scored earlier and within the reach then, so the best so far
+already ranks before this candidate.  If it covers a value u strictly
+between v1 and v3 other than v2, the triple (i1, index of u, i2) or (i1,
+i2, index of u) comes earlier in loop order and gives the same (a, -|b|,
+v1) up to the sign of b, which is then already scored.  So a candidate
+that can win misses all i3 - 2 values below v3 other than v1 and v2, and
+it is skipped unless it misses at most budget - (i3 - 2) of the values
+above v3.  One that passes is scanned again over all values with its own
+budget, so the reported misses stay exact.  A skipped candidate would
+not have become the best under the full scan either, so the best and the
+reach move as before; and since the cut acts after the candidate is
+counted, a capped search counts the same candidates.
+
 Small inputs (fewer than budget + 3 distinct values) are additionally
 seeded with the one- and two-point families q = (v2 - v1)*t^2 + v1 and
 q = t^2 + v1, which always exist.  All checks are exact integer
@@ -269,7 +287,11 @@ def _cover_search(
     seen: set[tuple[int, int, int]] = set()
     tried = 0
 
-    def consider(a: int, b: int, c: int) -> None:
+    def consider(a: int, b: int, c: int, above: Optional[list[int]] = None, below: int = 0) -> None:
+        # A triple candidate comes with `above`, the values above its v3 in
+        # scan order, and below = i3 - 2, the other values under v3 it must
+        # miss to win (module docstring); the one- and two-point families
+        # come with neither and get the full scan alone.
         nonlocal best, most, tried
         key3 = (a, b, c)
         if key3 in seen:
@@ -283,7 +305,9 @@ def _cover_search(
         # To win, a candidate must miss no more values than the best so
         # far, and strictly fewer when it ranks after it on the tail.
         budget = most - (best is not None and tail > best[0])
-        if budget < 0:
+        if budget < below:
+            return
+        if above is not None and _missed(a, b, c, above, budget - below) is None:
             return
         missed = _missed(a, b, c, scan, budget)
         if missed is not None:
@@ -330,6 +354,7 @@ def _cover_search(
                         break
                     w3 = pool[i3] - v1
                     divs3, positive, negative = row(w3)
+                    above = vs[:i3:-1]
                     for t2, s2 in pairs2:
                         # Only t3 > t2 or t3 < 0 with t3 * (t3 + g) <= w3 give a
                         # >= 1, a leading run of each side by ascending |t3|.
@@ -342,7 +367,7 @@ def _cover_search(
                                 if (s2 - s3) % (t2 - t3) == 0:
                                     a, b = _interpolate(t2, s2, t3, s3)
                                     # Both signs miss the same values; -|b| ranks first.
-                                    consider(a, -abs(b), v1)
+                                    consider(a, -abs(b), v1, above, i3 - 2)
     except InconclusiveSearch:
         if best is None:
             raise

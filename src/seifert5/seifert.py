@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .abgroup import _json_int
+from .abgroup import _MR_LIMIT, _json_int
 
 __all__ = [
     "Orientable",
@@ -216,7 +216,8 @@ class SeifertSpec:
         fields must be JSON integers and `orientable` a JSON boolean.  An
         `h2_class` is accepted only as the generator of its divisor's chart,
         and dropped; any other class is refused with BAD_H2_CLASS.  The
-        decoded spec must pass validate()."""
+        decoded spec must pass validate(), and then every multiplicity must
+        lie below the factoring bound 3.3 * 10**24."""
         if not isinstance(data, dict):
             raise SpecSchemaError("spec must be a JSON object")
         extra = set(data) - {"charts", "divisors", "twist"}
@@ -286,7 +287,13 @@ class SeifertSpec:
         ]
         if issues:
             raise SpecValidationError(issues)
-        return cls(charts=charts, divisors=tuple(divisors), twist=twist)
+        spec = cls(charts=charts, divisors=tuple(divisors), twist=twist)
+        # H_2 needs the factorization of m, which is only exact below this
+        # bound; checked last, so every other input error reads as before.
+        for idx, d in enumerate(spec.divisors):
+            if d.m >= _MR_LIMIT:
+                raise SpecSchemaError(f"divisor {idx} m must be below {_MR_LIMIT:,}")
+        return spec
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)

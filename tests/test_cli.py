@@ -262,6 +262,21 @@ class TestSasaki:
         assert doc["witness"] == {"a": 12, "b": -5, "c": 3}
         assert doc["search_complete"] is True
 
+    def test_values_bound(self, tmp_path, capsys):
+        # 1,000 values pass (these are dense, so the density check decides);
+        # one more is refused, from --values or from a group's torsion.
+        values = [str(v) for v in range(2, 2002, 2)]
+        code, out, _ = run_cli(capsys, "sasaki", "--values", ",".join(values))
+        assert code == 1 and json.loads(out)["densest_violation"] is not None
+        code, out, err = run_cli(capsys, "sasaki", "--values", ",".join(values + ["2002"]))
+        assert_input_error(code, out, err)
+        assert err == "error: sasaki takes at most 1,000 values, got 1,001\n"
+        torsion = [{"p": 2, "e": e, "count": 1} for e in range(1, 1002)]
+        path = write_json(tmp_path, "cls.json", {"free_rank": 0, "torsion": torsion})
+        code, out, err = run_cli(capsys, "sasaki", path)
+        assert_input_error(code, out, err)
+        assert err == "error: sasaki takes at most 1,000 values, got 1,001\n"
+
     @pytest.mark.parametrize("limit", [
         ("--max-exceptions", "-1"),
         ("--max-candidates", "0"),
@@ -494,6 +509,23 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec))
         assert_input_error(code, out, err)
         assert err.startswith("error: ") and "3,317,044,064,679,887,385,961,981" in err
+
+    @pytest.mark.parametrize("twist", [0, 1])
+    def test_multiplicity_bound_on_a_divisor_without_torsion(self, tmp_path, capsys, twist):
+        # The decoder bounds m even on a genus-0 divisor, which adds no
+        # torsion and is never factored, and on a spec that is not simply
+        # connected (twist 1 makes |H_1| = m + 1).
+        spec = json.loads(json.dumps(GENUS_TWO_SPEC))
+        spec["twist"] = [twist]
+        spec["divisors"][0].update(surface={"orientable": True, "genus": 0},
+                                   m=3_317_044_064_679_887_385_961_981)
+        code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec))
+        assert_input_error(code, out, err)
+        assert err == "error: divisor 0 m must be below 3,317,044,064,679,887,385,961,981\n"
+        spec["divisors"][0]["m"] -= 2
+        code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec))
+        assert code == 0
+        assert json.loads(out)["h1_order"] == (1 if twist == 0 else spec["divisors"][0]["m"] + 1)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from seifert5 import cohomology
 from seifert5.abgroup import AbelianGroup
 from seifert5.classify import INFINITY, FiveManifoldClass, circle_action_admissible
 from seifert5.cohomology import INDETERMINATE, compare, full_report, w2_class
@@ -393,6 +394,23 @@ class TestReportEquivalence:
             doc = full_report(spec).to_json_dict()
             assert doc == full_report_reference(spec).to_json_dict()
             assert doc["h1_order"] == 1
+
+    def test_factors_only_multiplicities_with_torsion(self, monkeypatch):
+        # A divisor with beta = 0 adds no torsion, so its m is not factored.
+        calls = []
+        factorize = cohomology.factorize
+
+        def spy(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(cohomology, "factorize", spy)
+        spec = spec_of([Divisor(0, Orientable(0), 5, 1), Divisor(1, Orientable(1), 7, 1),
+                        Divisor(2, Orientable(0), 9, 1)], [0, 0, 0], charts=3)
+        report = full_report(spec)
+        assert report.h1_order == 1
+        assert report.h2 == AbelianGroup(free_rank=2, torsion=((7, 1, 2),))
+        assert calls == [7]
 
     def test_random_generator_specs(self):
         rng = random.Random(2026)

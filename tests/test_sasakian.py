@@ -28,6 +28,13 @@ def degree_family(n):
     return [(i - 1) * (i - 2) for i in range(3, n + 1)]
 
 
+def planted_above_aliens(rng, aliens):
+    """Thirteen values of a random quadratic above `aliens` smaller values."""
+    a, b = rng.randint(2, 90), rng.randint(-300, 300)
+    planted = {(a * t + b) * t + 10**7 for t in range(1, 14)}
+    return sorted(planted | set(rng.sample(range(1, 10**6), aliens)))
+
+
 class TestQuadratic:
     def test_membership_matches_enumeration(self):
         rng = random.Random(79)
@@ -255,9 +262,11 @@ class TestCoverSearch:
             events.append(("interpolate", t2 * s2, t3 * s3, ab))
             return ab
 
-        def spy_missed(a, b, c, values, budget):
-            result = missed(a, b, c, values, budget)
-            if result is not None:
+        def spy_missed(a, b, c, scanned, budget):
+            # Only a full scan that passes makes a new best; a triple
+            # candidate's first scan covers the values above its v3 only.
+            result = missed(a, b, c, scanned, budget)
+            if result is not None and len(scanned) == len(values):
                 events.append(("best", len(result)))
             return result
 
@@ -270,11 +279,7 @@ class TestCoverSearch:
         monkeypatch.setattr(sasakian, "_divisors", spy_divisors)
         rng = random.Random(109)
         value_sets = [sorted(rng.sample(range(1, 10**9), n)) for n in (9, 14, 16)]
-        for aliens in (1, 3, 5):
-            # a planted quadratic above `aliens` smaller values
-            a, b = rng.randint(2, 90), rng.randint(-300, 300)
-            planted = {(a * t + b) * t + 10**7 for t in range(1, 14)}
-            value_sets.append(sorted(planted | set(rng.sample(range(1, 10**6), aliens))))
+        value_sets += [planted_above_aliens(rng, aliens) for aliens in (1, 3, 5)]
         narrowed = 0
         for values in value_sets:
             for budget in (2, 5, 10):
@@ -299,6 +304,84 @@ class TestCoverSearch:
                         narrowed += e < budget
         # the reach did narrow during the searches
         assert narrowed
+
+    def test_scores_triple_candidates_above_v3_first(self, monkeypatch):
+        # A new candidate from pool indices i1 < i2 < i3 is first scanned
+        # over the values above v3 only, descending, with its budget less
+        # the i3 - 2 other values below v3, and skipped unscanned when that
+        # is negative; the full scan follows exactly when that scan passes,
+        # and then makes the new best.  The one- and two-point families get
+        # the full scan alone.  The replay keeps the search's seen set, best
+        # and budget; distinct differences name each triple's indices.
+        events = []
+        interpolate, missed = sasakian._interpolate, sasakian._missed
+
+        def spy_interpolate(t2, s2, t3, s3):
+            ab = interpolate(t2, s2, t3, s3)
+            events.append(("interpolate", t2 * s2, t3 * s3, ab))
+            return ab
+
+        def spy_missed(a, b, c, scanned, budget):
+            result = missed(a, b, c, scanned, budget)
+            events.append(("missed", (a, b, c), list(scanned), budget, result))
+            return result
+
+        monkeypatch.setattr(sasakian, "_interpolate", spy_interpolate)
+        monkeypatch.setattr(sasakian, "_missed", spy_missed)
+        rng = random.Random(113)
+        value_sets = [sorted(rng.sample(range(1, 10**9), n)) for n in (9, 16)]
+        value_sets += [planted_above_aliens(rng, aliens) for aliens in (1, 3, 5)]
+        seen_outcomes = set()
+        for values in value_sets:
+            for budget in (0, 2, 10):
+                pool = values[: budget + 3]
+                pairs = [(i, j) for i in range(len(pool)) for j in range(i + 1, len(pool))]
+                index = {pool[j] - pool[i]: (i, j) for i, j in pairs}
+                assert len(index) == len(pairs)
+                events.clear()
+                quadratic_cover_search(values, max_exceptions=budget)
+                queue = events[::-1]
+
+                def next_scan():
+                    return queue.pop()[1:] if queue and queue[-1][0] == "missed" else None
+
+                full = values[::-1]
+                seen = {(1, 0, v) for v in pool}
+                seen |= {(pool[j] - pool[i], 0, pool[i]) for i, j in pairs}
+                best, most = None, budget
+                while (scan := next_scan()) is not None:
+                    assert scan[1] == full, (values, budget, scan)
+                    if scan[3] is not None:
+                        (a, b, c), most = scan[0], len(scan[3])
+                        best = (a, abs(b), b, c)
+                while queue:
+                    _, w2, w3, (a, b) = queue.pop()
+                    (i1, i2), (i1_, i3) = index[w2], index[w3]
+                    assert i1 == i1_
+                    v1 = pool[i1]
+                    key3, tail = (a, -abs(b), v1), (a, abs(b), -abs(b), v1)
+                    if key3 in seen:
+                        assert next_scan() is None
+                        continue
+                    seen.add(key3)
+                    own = most - (best is not None and tail > best)
+                    first = next_scan()
+                    if own < i3 - 2:
+                        assert first is None, (values, budget, key3)
+                        seen_outcomes.add("unscanned")
+                        continue
+                    above = sorted((v for v in values if v > v1 + w3), reverse=True)
+                    assert first[:3] == (key3, above, own - (i3 - 2)), (values, budget, first)
+                    second = next_scan()
+                    if first[3] is None:
+                        assert second is None, (values, budget, key3)
+                        seen_outcomes.add("failed")
+                        continue
+                    assert second[:3] == (key3, full, own), (values, budget, second)
+                    assert second[3] is not None
+                    best, most = tail, len(second[3])
+                    seen_outcomes.add("passed")
+        assert seen_outcomes == {"unscanned", "failed", "passed"}
 
     def test_divisors_match_brute_force(self):
         rng = random.Random(101)
@@ -325,6 +408,9 @@ class TestCoverSearch:
         ]
         value_sets += [sorted(rng.sample(range(1, 10**9), n)) for n in (8, 11, 16)]
         value_sets.append(degree_family(14) + [7, 1000])
+        # the witness starts above 1-5 smaller values, which every triple
+        # candidate built on it must miss
+        value_sets += [planted_above_aliens(rng, aliens) for aliens in (1, 2, 3, 4, 5)]
 
         def outcome(search, values, budget, cap):
             kw = {} if cap is None else {"max_candidates": cap}
