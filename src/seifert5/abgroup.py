@@ -251,7 +251,13 @@ class AbelianGroup:
             p, e, count = (_json_int(entry[k], f"torsion {k}") for k in ("p", "e", "count"))
             summands.append((p, e, count))
         # The constructor refuses each negative count before it sums duplicates.
-        return cls(_json_int(data.get("free_rank", 0), "free_rank"), tuple(summands))
+        group = cls(_json_int(data.get("free_rank", 0), "free_rank"), tuple(summands))
+        for p, e, _ in group.torsion:
+            # p >= 2, so p**e >= 2**e: an exponent at the bound's bit length
+            # is refused before p**e is formed.
+            if e >= _MR_LIMIT.bit_length() or p**e >= _MR_LIMIT:
+                raise ValueError(f"torsion p^e must be below {_MR_LIMIT:,}, got p = {p}, e = {e}")
+        return group
 
     def __str__(self) -> str:
         parts = []

@@ -14,7 +14,7 @@ import re
 import sys
 from typing import Optional
 
-from .abgroup import AbelianGroup
+from .abgroup import _MR_LIMIT, AbelianGroup
 from .classify import (
     FiveManifoldClass,
     _doubled,
@@ -158,7 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_local(args) -> int:
-    m = _decimal(args.m, "--m")
+    m = _decimal(args.m, "--m", below=_MR_LIMIT)
     exponents = tuple(_decimal(x, "--exponents item") for x in args.exponents.split(","))
     rep = StabilizerRep(m, exponents)
     inv = local_invariants(rep)
@@ -177,11 +177,17 @@ def _cmd_local(args) -> int:
     return EXIT_YES
 
 
-def _decimal(text: str, what: str) -> int:
+def _decimal(text: str, what: str, below: Optional[int] = None) -> int:
     # int() would also take "1_000", "+5", " 5" and non-ASCII digits.
     if re.fullmatch(r"-?[0-9]+", text) is None:
         raise ValueError(f"{what} {text!r} is not an integer "
                          "(ASCII digits, optional leading '-')")
+    # A bound is decided on the digit count first, so int() never meets
+    # more digits than the bound has.
+    if below is not None and text[0] != "-" and (
+        len(text.lstrip("0")) > len(str(below)) or int(text) >= below
+    ):
+        raise ValueError(f"{what} must be below {below:,}")
     return int(text)
 
 

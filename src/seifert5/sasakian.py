@@ -75,6 +75,34 @@ not have become the best under the full scan either, so the best and the
 reach move as before; and since the cut acts after the candidate is
 counted, a capped search counts the same candidates.
 
+The levels next to the reach are built from above.  Call i3, the index
+of a candidate's third smallest covered value, its level, and
+k = e - (i3 - 2) the level's slack, e the best's miss count (the budget
+before any).  A witness that can win at level i3 misses the i3 - 2 values below
+v3 other than v1 and v2, so it misses at most k of the values above v3;
+when at least k + 2 values lie above v3 it covers two of the k + 2 just
+above it, u2 < u3.  Its shift to t = 0 at u1 = v3 passes through (0,
+u1), (t2, u2), (t3, u3) with u1 < u2 < u3 and a >= 1, all that the
+reflection and slope cuts use, so the same pair loop over w2 = u2 - u1
+and w3 = u3 - u1 finds it: one enumeration of the C(k + 2, 2) pairs
+above v3 serves the level, where the loops from below take one per pair
+(i1, i2).  A candidate q found this way is kept only if it takes exactly
+two values below v3, and is then shifted to take the smaller, v1, at
+t = 0.  If q(t) = v1, then b^2 - 4a(v3 - v1) = (2a*t + b)^2, and
+q(t + s) has linear coefficient 2a*t + b in s, so the shift is scored as
+(a, -r, v1) with r that root: the key the loops from below give the same
+image, with the same i3 - 2 misses below v3 for the cut above.  A candidate
+dropped here has another level, where it is built (its key has only one
+level, that of its image), so every level scores its own candidates
+only.  The levels with slack at most _UPPER_SLACK are fixed once, after
+the one- and two-point families; the loops from below stop under them,
+and they are built last, so a witness found below can put them out of
+reach.  Since e only falls, slack only shrinks, so a window read with
+the current e still holds every witness that can win; it ends at index
+e + 4, which needs at least e + 5 values.  With fewer, or when the values
+span 3.3 * 10^24 or more (where a difference above the pool might be one
+the factorizer refuses, see `factorize`), no level is built from above.
+
 Small inputs (fewer than budget + 3 distinct values) are additionally
 seeded with the one- and two-point families q = (v2 - v1)*t^2 + v1 and
 q = t^2 + v1, which always exist.  All checks are exact integer
@@ -87,9 +115,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .abgroup import factorize
+from .abgroup import _MR_LIMIT, factorize
 
 __all__ = [
     "MAX_EXCEPTIONAL_VALUES",
@@ -108,6 +136,10 @@ __all__ = [
 MAX_EXCEPTIONAL_VALUES = 10
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
+
+# The largest slack at which a level of the cover search is built from the
+# values above v3 instead of from below (module docstring).
+_UPPER_SLACK = 4
 
 
 class InconclusiveSearch(RuntimeError):
@@ -139,6 +171,29 @@ def _missed(a: int, b: int, c: int, values: Iterable[int], budget: int) -> Optio
         if len(missed) > budget:
             return None
     return missed
+
+
+def _shift_to_lowest(a: int, b: int, c: int, below: list[int]) -> Optional[tuple[int, int]]:
+    """(-|b'|, v1) for a*t^2 + b*t + c (a >= 1) shifted to take v1 at t = 0,
+    where v1 is the smaller of exactly two values of the ascending `below`
+    it takes; None when it takes fewer or more of them.
+
+    v is taken at t iff b^2 - 4a(c - v) is the square of r = |2a*t + b|,
+    and r is the linear coefficient's size after the shift by that t.
+    """
+    two_a = 2 * a
+    four_a = 4 * a
+    bb = b * b
+    taken = []
+    for v in below:
+        disc = bb - four_a * (c - v)
+        if disc >= 0:
+            root = math.isqrt(disc)
+            if root * root == disc and ((root - b) % two_a == 0 or (root + b) % two_a == 0):
+                if len(taken) == 2:
+                    return None
+                taken.append((-root, v))
+    return taken[0] if len(taken) == 2 else None
 
 
 @dataclass(frozen=True)
@@ -329,6 +384,22 @@ def _cover_search(
             divisor_rows[w] = (divs, [(d, w // d) for d in divs], [(-d, -(w // d)) for d in divs])
         return divisor_rows[w]
 
+    def steep(pairs2: list, w3: int) -> Iterator[tuple[int, int]]:
+        # (a, b) through (0, u1), (t2, u2), (t3, u3) for w2 = u2 - u1 (row
+        # pairs2) and w3 = u3 - u1: only t2 > 0, and only t3 > t2 or t3 < 0
+        # with t3 * (t3 + g) <= w3, a leading run of each side by ascending
+        # |t3|, give a >= 1 (module docstring).
+        divs3, positive, negative = row(w3)
+        for t2, s2 in pairs2:
+            g = s2 - t2
+            for side in (positive[bisect_right(divs3, t2):], negative):
+                for t3, s3 in side:
+                    if t3 * (t3 + g) > w3:
+                        break
+                    # w = t*s at both arguments, so a is the slope.
+                    if (s2 - s3) % (t2 - t3) == 0:
+                        yield _interpolate(t2, s2, t3, s3)
+
     try:
         # One- and two-point families guarantee witnesses for small inputs.
         for v in pool:
@@ -337,37 +408,51 @@ def _cover_search(
             for i2 in range(i1 + 1, len(pool)):
                 consider(pool[i2] - pool[i1], 0, pool[i1])
 
+        # The levels i3 with slack most - (i3 - 2) at most _UPPER_SLACK,
+        # fixed here, are built last, from the values above v3 up to index
+        # most + 4 (module docstring); values spanning the factorizer's
+        # bound build none, so such a search factors what it did before.
+        upper = range(0)
+        if len(vs) >= most + 5 and vs[-1] - vs[0] < _MR_LIMIT:
+            upper = range(max(2, most + 2 - _UPPER_SLACK), most + 3)
+
         # A witness that beats the best has v1, v2, v3 at indices at most
         # most, most + 1, most + 2; `most` only falls, so each head rereads it.
-        for i1 in range(len(pool)):
+        lower = pool[: upper.start] if upper else pool
+        for i1 in range(len(lower)):
             if i1 > most:
                 break
-            v1 = pool[i1]
-            for i2 in range(i1 + 1, len(pool)):
+            v1 = lower[i1]
+            for i2 in range(i1 + 1, len(lower)):
                 if i2 > most + 1:
                     break
                 # The reflection (t2, t3) -> (-t2, -t3) turns b into -b, so
                 # t2 > 0 reaches every candidate up to the sign of b.
-                pairs2 = row(pool[i2] - v1)[1]
-                for i3 in range(i2 + 1, len(pool)):
+                pairs2 = row(lower[i2] - v1)[1]
+                for i3 in range(i2 + 1, len(lower)):
                     if i3 > most + 2:
                         break
-                    w3 = pool[i3] - v1
-                    divs3, positive, negative = row(w3)
                     above = vs[:i3:-1]
-                    for t2, s2 in pairs2:
-                        # Only t3 > t2 or t3 < 0 with t3 * (t3 + g) <= w3 give a
-                        # >= 1, a leading run of each side by ascending |t3|.
-                        g = s2 - t2
-                        for side in (positive[bisect_right(divs3, t2):], negative):
-                            for t3, s3 in side:
-                                if t3 * (t3 + g) > w3:
-                                    break
-                                # w = t*s at both arguments, so a is the slope.
-                                if (s2 - s3) % (t2 - t3) == 0:
-                                    a, b = _interpolate(t2, s2, t3, s3)
-                                    # Both signs miss the same values; -|b| ranks first.
-                                    consider(a, -abs(b), v1, above, i3 - 2)
+                    for a, b in steep(pairs2, lower[i3] - v1):
+                        # Both signs miss the same values; -|b| ranks first.
+                        consider(a, -abs(b), v1, above, i3 - 2)
+
+        for i3 in upper:
+            if i3 > most + 2:
+                break
+            v3, below, above = vs[i3], vs[:i3], vs[:i3:-1]
+            for j2 in range(i3 + 1, len(vs)):
+                if j2 > most + 3:
+                    break
+                pairs2 = row(vs[j2] - v3)[1]
+                for j3 in range(j2 + 1, len(vs)):
+                    if j3 > most + 4:
+                        break
+                    for a, b in steep(pairs2, vs[j3] - v3):
+                        # Keep only candidates whose third covered value is v3.
+                        shifted = _shift_to_lowest(a, b, v3, below)
+                        if shifted is not None:
+                            consider(a, *shifted, above, i3 - 2)
     except InconclusiveSearch:
         if best is None:
             raise

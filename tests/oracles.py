@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from seifert5.abgroup import AbelianGroup, factorize
+from seifert5 import sasakian
+from seifert5.abgroup import _MR_LIMIT, AbelianGroup, factorize
 from seifert5.classify import (
     INFINITY,
     INVALID_I,
@@ -704,6 +705,21 @@ def _interpolate(t2: int, v1: int, w2: int, t3: int, w3: int) -> Optional[Quadra
     return Quadratic(a, b_num // t2, v1)
 
 
+def from_lowest(q: Quadratic, below: list[int]) -> Optional[Quadratic]:
+    """q rewritten as a*t^2 - |b'|*t + v1 with the same image, where v1 is
+    the smaller of exactly two values of `below` that q takes; None when q
+    takes fewer or more of them."""
+    taken = [v for v in below if q.contains(v)]
+    if len(taken) != 2:
+        return None
+    v1 = taken[0]
+    # q(s) = v1 at an integer root s of a*s^2 + b*s + (c - v1), and
+    # q(t + s) = a*t^2 + (2*a*s + b)*t + v1.
+    r = math.isqrt(q.b * q.b - 4 * q.a * (q.c - v1))
+    s = next(s for s in ((r - q.b) // (2 * q.a), (-r - q.b) // (2 * q.a)) if q(s) == v1)
+    return Quadratic(q.a, -abs(2 * q.a * s + q.b), v1)
+
+
 def quadratic_cover_search_reference(
     values: Iterable[int],
     max_exceptions: int = MAX_EXCEPTIONAL_VALUES,
@@ -729,7 +745,13 @@ def pruned_cover_search_reference(
     each interpolated quadratic replaced by its reflection with b = -|b|,
     the triples cut to the reach of the best so far and the pairs to those
     whose rational slope is at least 1, in the order t3 > t2 ascending and
-    then t3 < 0 by ascending |t3|.
+    then t3 < 0 by ascending |t3|.  The levels i3 (index of the third
+    value) with slack (exceptions of the best) - (i3 - 2) at most
+    `sasakian._UPPER_SLACK` after the one- and two-point families are left
+    to the loops over pool triples, and come after them, from triples
+    (v3, u2, u3) of values above v3 up to index (exceptions) + 4, each
+    quadratic kept only when it takes exactly two values below v3 and then
+    rewritten to take the smaller at t = 0.
 
     Uncapped it returns what the unpruned reference returns; under a cap it
     counts the candidates that quadratic_cover_search tries.
@@ -816,24 +838,46 @@ def _reference_search(
             for i2 in range(i1 + 1, len(pool)):
                 consider(Quadratic(pool[i2] - pool[i1], 0, pool[i1]))
 
-        for i1 in range(len(pool)):
+        levels = range(0)
+        if pruned and len(vs) >= reach(5) and vs[-1] - vs[0] < _MR_LIMIT:
+            levels = range(max(2, reach(2) - sasakian._UPPER_SLACK), reach(3))
+        lower = pool[: levels.start] if levels else pool
+        for i1 in range(len(lower)):
             if i1 > reach(0):
                 break
-            v1 = pool[i1]
-            for i2 in range(i1 + 1, len(pool)):
+            v1 = lower[i1]
+            for i2 in range(i1 + 1, len(lower)):
                 if i2 > reach(1):
                     break
-                w2 = pool[i2] - v1
+                w2 = lower[i2] - v1
                 t2_choices = [t for t in arguments(w2) if t > 0 or not pruned]
-                for i3 in range(i2 + 1, len(pool)):
+                for i3 in range(i2 + 1, len(lower)):
                     if i3 > reach(2):
                         break
-                    w3 = pool[i3] - v1
+                    w3 = lower[i3] - v1
                     for t2 in t2_choices:
                         for t3 in partners(t2, w2, w3):
                             q = _interpolate(t2, v1, w2, t3, w3)
                             if q is not None:
                                 consider(Quadratic(q.a, -abs(q.b), q.c) if pruned else q)
+
+        for i3 in levels:
+            if i3 > reach(2):
+                break
+            for j2 in range(i3 + 1, len(vs)):
+                if j2 > reach(3):
+                    break
+                w2 = vs[j2] - vs[i3]
+                for j3 in range(j2 + 1, len(vs)):
+                    if j3 > reach(4):
+                        break
+                    w3 = vs[j3] - vs[i3]
+                    for t2 in arguments(w2)[::2]:
+                        for t3 in partners(t2, w2, w3):
+                            q = _interpolate(t2, vs[i3], w2, t3, w3)
+                            lowest = None if q is None else from_lowest(q, vs[:i3])
+                            if lowest is not None:
+                                consider(lowest)
     except InconclusiveSearch:
         if best is None:
             raise

@@ -334,6 +334,23 @@ class TestAbelianGroupBasics:
             {"p": 5, "e": 1, "count": 1}, {"p": 3, "e": 2, "count": 0}]})
         assert summed == AbelianGroup.from_counts(0, {(5, 1): 3})
 
+    def test_json_bounds_each_prime_power(self):
+        # 2^81 < 3.3 * 10^24 <= 2^82; the bound is checked after every
+        # other decoding check, and only by the decoder.
+        bound = "3,317,044,064,679,887,385,961,981"
+        for p, e in ((2, 81), (10**9 + 7, 2), (1_000_003, 4)):
+            group = AbelianGroup.from_json_dict({"torsion": [{"p": p, "e": e, "count": 1}]})
+            assert group.torsion == ((p, e, 1),)
+        for p, e in ((2, 82), (10**9 + 7, 3), (10**9 + 7, 3000), (10**9 + 7, 100_000)):
+            with pytest.raises(ValueError) as exc:
+                AbelianGroup.from_json_dict({"torsion": [{"p": p, "e": e, "count": 1}]})
+            assert str(exc.value) == f"torsion p^e must be below {bound}, got p = {p}, e = {e}"
+            assert AbelianGroup.from_counts(0, {(p, e): 1}).torsion == ((p, e, 1),)
+        with pytest.raises(ValueError, match="torsion count must be >= 0"):
+            AbelianGroup.from_json_dict({"torsion": [{"p": 2, "e": 82, "count": -1}]})
+        with pytest.raises(ValueError, match="is not prime"):
+            AbelianGroup.from_json_dict({"torsion": [{"p": 4, "e": 82, "count": 1}]})
+
     def test_str(self):
         assert str(AbelianGroup()) == "0"
         assert str(AbelianGroup.from_counts(1, {(5, 1): 2})) == "Z + (Z/5)^2"

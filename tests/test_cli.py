@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -271,7 +272,9 @@ class TestSasaki:
         code, out, err = run_cli(capsys, "sasaki", "--values", ",".join(values + ["2002"]))
         assert_input_error(code, out, err)
         assert err == "error: sasaki takes at most 1,000 values, got 1,001\n"
-        torsion = [{"p": 2, "e": e, "count": 1} for e in range(1, 1002)]
+        # 1,001 prime powers below the primality bound, one entry each
+        primes = [p for p in range(2, 8000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        torsion = [{"p": p, "e": 1, "count": 1} for p in primes[:1001]]
         path = write_json(tmp_path, "cls.json", {"free_rank": 0, "torsion": torsion})
         code, out, err = run_cli(capsys, "sasaki", path)
         assert_input_error(code, out, err)
@@ -526,6 +529,28 @@ class TestMalformedInput:
         code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec))
         assert code == 0
         assert json.loads(out)["h1_order"] == (1 if twist == 0 else spec["divisors"][0]["m"] + 1)
+
+    @pytest.mark.parametrize("e", [3000, 100_000])
+    @pytest.mark.parametrize(
+        "argv", [["gate"], ["classify"], ["construct"], ["construct", "--target-i", "0"], ["sasaki"]]
+    )
+    def test_prime_power_beyond_the_primality_bound(self, tmp_path, capsys, argv, e):
+        # gate used to admit (Z/p^e)^2, and construct then hit the
+        # interpreter's 4,300-digit limit after up to a second
+        cls = {"free_rank": 0, "torsion": [{"p": 10**9 + 7, "e": e, "count": 2}], "i": 0}
+        code, out, err = run_cli(capsys, *argv, write_json(tmp_path, "cls.json", cls))
+        assert_input_error(code, out, err)
+        assert err == ("error: torsion p^e must be below 3,317,044,064,679,887,385,961,981, "
+                       f"got p = 1000000007, e = {e}\n")
+
+    @pytest.mark.parametrize("m", ["3317044064679887385961981", "9" * 5000, "0" * 30 + "9" * 26])
+    def test_local_multiplicity_beyond_the_primality_bound(self, capsys, m):
+        code, out, err = run_cli(capsys, "local", "--m", m, "--exponents", "1,1")
+        assert_input_error(code, out, err)
+        assert err == "error: --m must be below 3,317,044,064,679,887,385,961,981\n"
+        code, out, _ = run_cli(capsys, "local", "--m", "3317044064679887385961980",
+                               "--exponents", "1,1")
+        assert code == 0 and json.loads(out)["m"] == 3317044064679887385961980
 
     @pytest.mark.parametrize(
         "field, value",

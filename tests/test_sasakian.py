@@ -16,6 +16,7 @@ from seifert5.sasakian import (
 )
 
 from oracles import (
+    from_lowest,
     adjunction_genus,
     divisors_by_trial_division,
     pruned_cover_search_reference,
@@ -33,6 +34,31 @@ def planted_above_aliens(rng, aliens):
     a, b = rng.randint(2, 90), rng.randint(-300, 300)
     planted = {(a * t + b) * t + 10**7 for t in range(1, 14)}
     return sorted(planted | set(rng.sample(range(1, 10**6), aliens)))
+
+
+def distinct_differences(values):
+    """Each difference of two of the values mapped to its index pair, which
+    the caller needs to be unique."""
+    pairs = [(i, j) for i in range(len(values)) for j in range(i + 1, len(values))]
+    index = {values[j] - values[i]: (i, j) for i, j in pairs}
+    assert len(index) == len(pairs)
+    return index
+
+
+def upper_levels(values, most):
+    """The levels the cover search builds from above, given the exceptions
+    of the best after the one- and two-point families (values below
+    3.3 * 10^24)."""
+    if len(values) < most + 5:
+        return range(0)
+    return range(max(2, most + 2 - sasakian._UPPER_SLACK), most + 3)
+
+
+def planted_below_aliens(rng, aliens):
+    """Eight values of a random quadratic below `aliens` larger values."""
+    a, b = rng.randint(1, 20), rng.randint(-50, 50)
+    planted = {(a * t + b) * t + 10**4 for t in range(1, 9)}
+    return sorted(planted | set(rng.sample(range(max(planted) + 1, 10**6), aliens)))
 
 
 class TestQuadratic:
@@ -252,8 +278,10 @@ class TestCoverSearch:
         # No interpolation has slope a < 1, and none comes from a triple
         # (i1, i2, i3) past the reach (e, e + 1, e + 2) of the best so far,
         # e its exception count (the budget before any witness); nor is a
-        # difference past that reach factored.  The value sets have
-        # distinct pairwise differences, so w = t*s names its index pair.
+        # difference past that reach factored.  A triple built from above,
+        # on an upper level i3 with (i3, j2, j3), stays within (e + 2, e + 3,
+        # e + 4).  The value sets have distinct pairwise differences up to
+        # index budget + 4, so w = t*s names its index pair.
         events = []
         interpolate, missed, divisors = sasakian._interpolate, sasakian._missed, sasakian._divisors
 
@@ -280,39 +308,51 @@ class TestCoverSearch:
         rng = random.Random(109)
         value_sets = [sorted(rng.sample(range(1, 10**9), n)) for n in (9, 14, 16)]
         value_sets += [planted_above_aliens(rng, aliens) for aliens in (1, 3, 5)]
-        narrowed = 0
+        narrowed = built_above = 0
         for values in value_sets:
             for budget in (2, 5, 10):
-                pool = values[: budget + 3]
-                index = {pool[j] - pool[i]: (i, j)
-                         for i in range(len(pool)) for j in range(i + 1, len(pool))}
-                assert len(index) == len(pool) * (len(pool) - 1) // 2
+                index = distinct_differences(values[: budget + 5])
                 events.clear()
                 quadratic_cover_search(values, max_exceptions=budget)
                 e = budget
+                levels = None
                 for event in events:
                     if event[0] == "best":
                         e = event[1]
-                    elif event[0] == "divisors":
+                        continue
+                    if levels is None:
+                        # The families are scored; the upper levels are fixed.
+                        levels = upper_levels(values, e)
+                    if event[0] == "divisors":
                         i, j = index[event[1]]
-                        assert i <= e and j <= e + 2, (values, budget, event, e)
+                        if i in levels:
+                            assert i <= e + 2 and j <= e + 4, (values, budget, event, e)
+                        else:
+                            assert i <= e and j <= e + 2, (values, budget, event, e)
                     else:
                         _, w2, w3, ab = event
                         (i1, i2), (i1_, i3) = index[w2], index[w3]
                         assert i1 == i1_ and ab[0] >= 1, (values, budget, event)
-                        assert i1 <= e and i2 <= e + 1 and i3 <= e + 2, (values, budget, event, e)
+                        if i1 in levels:
+                            assert i1 <= e + 2 and i3 <= e + 4, (values, budget, event, e)
+                            built_above += 1
+                        else:
+                            assert i1 <= e and i2 <= e + 1 and i3 <= e + 2, (values, budget, event, e)
                         narrowed += e < budget
-        # the reach did narrow during the searches
-        assert narrowed
+        # the reach did narrow during the searches, and upper levels ran
+        assert narrowed and built_above
 
     def test_scores_triple_candidates_above_v3_first(self, monkeypatch):
-        # A new candidate from pool indices i1 < i2 < i3 is first scanned
-        # over the values above v3 only, descending, with its budget less
-        # the i3 - 2 other values below v3, and skipped unscanned when that
-        # is negative; the full scan follows exactly when that scan passes,
-        # and then makes the new best.  The one- and two-point families get
-        # the full scan alone.  The replay keeps the search's seen set, best
-        # and budget; distinct differences name each triple's indices.
+        # A new candidate of level i3 (its third covered value's index) is
+        # first scanned over the values above v3 only, descending, with its
+        # budget less the i3 - 2 other values below v3, and skipped
+        # unscanned when that is negative; the full scan follows exactly
+        # when that scan passes, and then makes the new best.  A triple
+        # (i3, j2, j3) built from an upper level is scored as the quadratic
+        # of its image taking v1 at t = 0, and only when it takes exactly
+        # two values below v3.  The one- and two-point families get the full
+        # scan alone.  The replay keeps the search's seen set, best and
+        # budget; distinct differences name each triple's indices.
         events = []
         interpolate, missed = sasakian._interpolate, sasakian._missed
 
@@ -336,8 +376,7 @@ class TestCoverSearch:
             for budget in (0, 2, 10):
                 pool = values[: budget + 3]
                 pairs = [(i, j) for i in range(len(pool)) for j in range(i + 1, len(pool))]
-                index = {pool[j] - pool[i]: (i, j) for i, j in pairs}
-                assert len(index) == len(pairs)
+                index = distinct_differences(values[: budget + 5])
                 events.clear()
                 quadratic_cover_search(values, max_exceptions=budget)
                 queue = events[::-1]
@@ -354,24 +393,35 @@ class TestCoverSearch:
                     if scan[3] is not None:
                         (a, b, c), most = scan[0], len(scan[3])
                         best = (a, abs(b), b, c)
+                levels = upper_levels(values, most)
                 while queue:
                     _, w2, w3, (a, b) = queue.pop()
                     (i1, i2), (i1_, i3) = index[w2], index[w3]
                     assert i1 == i1_
-                    v1 = pool[i1]
-                    key3, tail = (a, -abs(b), v1), (a, abs(b), -abs(b), v1)
+                    if i1 in levels:
+                        level = i1
+                        lowest = from_lowest(Quadratic(a, b, values[level]), values[:level])
+                        if lowest is None:
+                            assert next_scan() is None, (values, budget, level)
+                            seen_outcomes.add("other level")
+                            continue
+                        key3 = (lowest.a, lowest.b, lowest.c)
+                    else:
+                        level = i3
+                        key3 = (a, -abs(b), values[i1])
+                    tail = (key3[0], abs(key3[1]), key3[1], key3[2])
                     if key3 in seen:
                         assert next_scan() is None
                         continue
                     seen.add(key3)
                     own = most - (best is not None and tail > best)
                     first = next_scan()
-                    if own < i3 - 2:
+                    if own < level - 2:
                         assert first is None, (values, budget, key3)
                         seen_outcomes.add("unscanned")
                         continue
-                    above = sorted((v for v in values if v > v1 + w3), reverse=True)
-                    assert first[:3] == (key3, above, own - (i3 - 2)), (values, budget, first)
+                    above = values[:level:-1]
+                    assert first[:3] == (key3, above, own - (level - 2)), (values, budget, first)
                     second = next_scan()
                     if first[3] is None:
                         assert second is None, (values, budget, key3)
@@ -380,8 +430,104 @@ class TestCoverSearch:
                     assert second[:3] == (key3, full, own), (values, budget, second)
                     assert second[3] is not None
                     best, most = tail, len(second[3])
-                    seen_outcomes.add("passed")
-        assert seen_outcomes == {"unscanned", "failed", "passed"}
+                    seen_outcomes.add("passed" if level == i3 else "passed above")
+        assert seen_outcomes == {"unscanned", "failed", "passed", "passed above", "other level"}
+
+    def test_upper_levels_match_reference_at_every_cutoff(self, monkeypatch):
+        # Building levels from above changes no uncapped result, whatever
+        # the largest slack built that way: from none (-1) up to the budget,
+        # where every level is.  Every set has more than budget + 5 values,
+        # so upper levels exist; the shift to the lowest covered value runs
+        # on upper levels only, so its calls count them.
+        shifts = []
+        shift = sasakian._shift_to_lowest
+
+        def spy_shift(a, b, c, below):
+            shifts.append(len(below))
+            return shift(a, b, c, below)
+
+        monkeypatch.setattr(sasakian, "_shift_to_lowest", spy_shift)
+        rng = random.Random(127)
+        built = {}
+        for budget in (0, 2, 5, 10):
+            value_sets = [sorted(rng.sample(range(1, 10**digits), budget + 6 + more))
+                          for digits, more in ((4, 0), (9, 4))]
+            value_sets += [planted_above_aliens(rng, aliens) for aliens in (3, 5)]
+            # the witness covers values below each upper level and misses
+            # values above it
+            value_sets += [planted_below_aliens(rng, aliens) for aliens in (budget, budget + 2)]
+            for values in value_sets:
+                want = quadratic_cover_search_reference(values, max_exceptions=budget)
+                for cutoff in range(-1, budget + 1):
+                    monkeypatch.setattr(sasakian, "_UPPER_SLACK", cutoff)
+                    shifts.clear()
+                    got = quadratic_cover_search(values, max_exceptions=budget)
+                    assert got == want, (values, budget, cutoff)
+                    built[cutoff] = built.get(cutoff, 0) + len(shifts)
+        assert built[-1] == 0
+        assert all(built[cutoff] for cutoff in range(11)), built
+
+    def test_builds_each_upper_level_once(self, monkeypatch):
+        # The upper levels, fixed after the one- and two-point families, are
+        # built after every triple from below and in ascending order, each
+        # in one run of triples (i3, j2, j3) that interpolates no divisor
+        # pair twice; no triple from below reaches them.
+        events, family_bests = [], []
+        interpolate, missed = sasakian._interpolate, sasakian._missed
+
+        def spy_interpolate(t2, s2, t3, s3):
+            events.append((t2 * s2, t3 * s3, t2, t3))
+            return interpolate(t2, s2, t3, s3)
+
+        def spy_missed(a, b, c, scanned, budget):
+            # A full scan that passes before any interpolation is a family's.
+            result = missed(a, b, c, scanned, budget)
+            if not events and result is not None and len(scanned) == len(values):
+                family_bests.append(len(result))
+            return result
+
+        monkeypatch.setattr(sasakian, "_interpolate", spy_interpolate)
+        monkeypatch.setattr(sasakian, "_missed", spy_missed)
+        rng = random.Random(131)
+        value_sets = [sorted(rng.sample(range(1, 10**9), n)) for n in (9, 16)]
+        value_sets += [planted_above_aliens(rng, aliens) for aliens in (1, 3, 5)]
+        built = 0
+        for values in value_sets:
+            for budget in (0, 2, 5, 10):
+                index = distinct_differences(values[: budget + 5])
+                events.clear()
+                family_bests.clear()
+                quadratic_cover_search(values, max_exceptions=budget)
+                levels = upper_levels(values, family_bests[-1] if family_bests else budget)
+                triples = [(*index[w2], index[w3][1], t2, t3) for w2, w3, t2, t3 in events]
+                assert all(index[w2][0] == index[w3][0] for w2, w3, _, _ in events)
+                upper = [t for t in triples if t[0] in levels]
+                assert triples[len(triples) - len(upper):] == upper, (values, budget)
+                assert [t[0] for t in upper] == sorted(t[0] for t in upper)
+                assert len(set(upper)) == len(upper)
+                if levels:
+                    below = triples[: len(triples) - len(upper)]
+                    assert all(t[2] < levels.start for t in below), (values, budget)
+                built += len({t[0] for t in upper})
+        assert built
+
+    def test_values_spanning_the_primality_bound_answer_as_before(self):
+        # At budget 0 an upper level would factor x - 5, a difference above
+        # the pool whose cofactor the factorizer refuses.  Values spanning
+        # 3.3 * 10^24 or more build no level from above, so the search
+        # factors what it did before: a complete no at budget 0, and a
+        # refusal at budget 2, whose pool holds x.
+        x = 4 * 10**24 + 98
+        with pytest.raises(ValueError):
+            sasakian.factorize(x - 5)
+        values = [1, 2, 5, x, x + 1000]
+        report = sasaki_check(values, max_exceptions=0)
+        assert report.to_json_dict() == {
+            "feasible": False, "witness": None, "exceptions": None,
+            "densest_violation": None, "duplicates_dropped": False, "search_complete": True,
+        }
+        with pytest.raises(ValueError, match="only decided below 3,317,044,064,679,887,385,961,981"):
+            sasaki_check(values, max_exceptions=2)
 
     def test_divisors_match_brute_force(self):
         rng = random.Random(101)
