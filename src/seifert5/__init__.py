@@ -6,7 +6,7 @@ the construction by recomputing every algebraic invariant from the
 presentation.  All arithmetic is exact.
 """
 
-from .abgroup import AbelianGroup, PrimePower
+from .abgroup import AbelianGroup
 from .classify import (
     INFINITY,
     FiveManifoldClass,
@@ -21,9 +21,6 @@ from .construct import (
     GateRejection,
     build,
     enumerate_admissible,
-    schedule,
-    solve_b,
-    solve_twist,
     solve_unit_congruence,
     verify_roundtrip,
 )

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 __all__ = [
-    "PrimePower",
     "AbelianGroup",
     "is_prime",
     "factorize",
@@ -167,24 +166,6 @@ def _json_int(value, what: str, error: type[ValueError] = ValueError) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class PrimePower:
-    """A prime power p**e with e >= 1; p is checked for primality."""
-
-    p: int
-    e: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.e < 1:
-            raise ValueError("exponent must be >= 1")
-
-    @property
-    def value(self) -> int:
-        return self.p ** self.e
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """Z^free_rank plus prime-power torsion counts, stored canonically.
@@ -206,7 +187,10 @@ class AbelianGroup:
             raise ValueError("free rank must be >= 0")
         merged: dict[tuple[int, int], int] = {}
         for p, e, c in self.torsion:
-            PrimePower(p, e)
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            if e < 1:
+                raise ValueError("exponent must be >= 1")
             if c < 0:
                 raise ValueError(f"torsion count must be >= 0, got {c}")
             if c:
@@ -218,9 +202,6 @@ class AbelianGroup:
     @classmethod
     def from_counts(cls, free_rank: int, counts: Mapping[tuple[int, int], int]) -> "AbelianGroup":
         return cls(free_rank, tuple((p, e, c) for (p, e), c in counts.items()))
-
-    def torsion_order(self) -> int:
-        return math.prod((p ** e) ** c for p, e, c in self.torsion)
 
     def to_json_dict(self) -> dict:
         return {

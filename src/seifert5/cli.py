@@ -42,6 +42,9 @@ EXIT_UNDECIDED = 3
 # The density check tests every pair of values, so `sasaki` takes at most
 # this many (with duplicates), from --values or from a group's torsion.
 MAX_SASAKI_VALUES = 1000
+# Longer integers are refused, at CPython's default limit on int() of a
+# string (sys.int_info.default_max_str_digits).
+MAX_DIGITS = 4300
 
 
 def _read_input(path: Optional[str]) -> str:
@@ -53,7 +56,7 @@ def _read_input(path: Optional[str]) -> str:
 
 def _parse_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=lambda digits: _decimal(digits, "JSON integer"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
@@ -182,13 +185,17 @@ def _decimal(text: str, what: str, below: Optional[int] = None) -> int:
     if re.fullmatch(r"-?[0-9]+", text) is None:
         raise ValueError(f"{what} {text!r} is not an integer "
                          "(ASCII digits, optional leading '-')")
-    # A bound is decided on the digit count first, so int() never meets
-    # more digits than the bound has.
-    if below is not None and text[0] != "-" and (
-        len(text.lstrip("0")) > len(str(below)) or int(text) >= below
+    # Bounds are decided on the digit count first, so int() never meets
+    # more digits than a bound has.
+    negative = text[0] == "-"
+    digits = text.lstrip("-").lstrip("0") or "0"
+    if below is not None and not negative and (
+        len(digits) > len(str(below)) or int(digits) >= below
     ):
         raise ValueError(f"{what} must be below {below:,}")
-    return int(text)
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"{what} has more than {MAX_DIGITS:,} digits")
+    return -int(digits) if negative else int(digits)
 
 
 def _cmd_sasaki(args) -> int:

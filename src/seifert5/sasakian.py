@@ -208,9 +208,6 @@ class Quadratic:
         if self.a < 1:
             raise ValueError("leading coefficient must be >= 1")
 
-    def __call__(self, t: int) -> int:
-        return (self.a * t + self.b) * t + self.c
-
     def contains(self, v: int) -> bool:
         """Is v = q(t) for some integer t?  Exact discriminant test."""
         return _missed(self.a, self.b, self.c, (v,), 0) is not None

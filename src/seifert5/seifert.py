@@ -160,10 +160,6 @@ class SeifertSpec:
         if issues:
             raise SpecValidationError(issues)
 
-    @property
-    def k(self) -> int:
-        return self.charts - 1
-
     def multiplicity_lcm(self) -> int:
         """m(X): the lcm of all multiplicities, 1 when there are no divisors."""
         return math.lcm(*(d.m for d in self.divisors)) if self.divisors else 1
@@ -297,10 +293,6 @@ class SeifertSpec:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeifertSpec":
-        return cls.from_json_dict(json.loads(text))
 
 
 def chern_mu(spec: SeifertSpec) -> tuple[int, ...]:

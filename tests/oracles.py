@@ -1,7 +1,7 @@
 """Reference implementations that the library replaced, kept as test oracles,
 and the code that only tests reach: the integer-matrix substrate with Smith
 normal form, abelian-group helpers, the Chinese-remainder reconstruction of
-a slice representation, and the adjunction genus."""
+a slice representation, the adjunction genus and the value of a quadratic."""
 
 import math
 from dataclasses import dataclass
@@ -276,6 +276,10 @@ def invariant_factors(g: AbelianGroup) -> list[int]:
     for i in range(width):
         factors.append(math.prod(v[i] for v in per_prime if i < len(v)))
     return sorted(factors)
+
+
+def torsion_order(g: AbelianGroup) -> int:
+    return math.prod((p ** e) ** c for p, e, c in g.torsion)
 
 
 def direct_sum(g: AbelianGroup, h: AbelianGroup) -> AbelianGroup:
@@ -657,6 +661,11 @@ def adjunction_genus(degree: int) -> int:
     return (degree - 1) * (degree - 2) // 2
 
 
+def value_at(q: Quadratic, t: int) -> int:
+    """q(t) = a*t^2 + b*t + c."""
+    return (q.a * t + q.b) * t + q.c
+
+
 def quadratic_interval_count(q: Quadratic, lo: int, hi: int) -> int:
     """|q(Z) intersect [lo, hi]|, by enumerating the bounded preimage.
 
@@ -671,7 +680,7 @@ def quadratic_interval_count(q: Quadratic, lo: int, hi: int) -> int:
     spread = math.isqrt(disc) + 1
     t_lo = (-q.b - spread) // (2 * q.a) - 1
     t_hi = (-q.b + spread) // (2 * q.a) + 1
-    values = {q(t) for t in range(t_lo, t_hi + 1) if lo <= q(t) <= hi}
+    values = {v for v in (value_at(q, t) for t in range(t_lo, t_hi + 1)) if lo <= v <= hi}
     count = len(values)
     assert count <= 2 or q.a * (count - 2) ** 2 <= 4 * (hi - lo), (
         f"count law violated by {q} on [{lo}, {hi}]"
@@ -716,7 +725,7 @@ def from_lowest(q: Quadratic, below: list[int]) -> Optional[Quadratic]:
     # q(s) = v1 at an integer root s of a*s^2 + b*s + (c - v1), and
     # q(t + s) = a*t^2 + (2*a*s + b)*t + v1.
     r = math.isqrt(q.b * q.b - 4 * q.a * (q.c - v1))
-    s = next(s for s in ((r - q.b) // (2 * q.a), (-r - q.b) // (2 * q.a)) if q(s) == v1)
+    s = next(s for s in ((r - q.b) // (2 * q.a), (-r - q.b) // (2 * q.a)) if value_at(q, s) == v1)
     return Quadratic(q.a, -abs(2 * q.a * s + q.b), v1)
 
 

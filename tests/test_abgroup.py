@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert5.abgroup import AbelianGroup, PrimePower, factorize, is_prime
+from seifert5.abgroup import AbelianGroup, factorize, is_prime
 
 from oracles import (
     IntMatrix,
@@ -22,6 +22,7 @@ from oracles import (
     matmul,
     primary_decomposition,
     smith_normal_form,
+    torsion_order,
     zeros,
 )
 
@@ -208,11 +209,14 @@ class TestPrimesAndFactoring:
         assert factorize(n) == {10**6 + 3: 2, 10**9 + 7: 1}
 
     def test_prime_power_validation(self):
-        with pytest.raises(ValueError):
-            PrimePower(4, 1)
-        with pytest.raises(ValueError):
-            PrimePower(3, 0)
-        assert PrimePower(3, 2).value == 9
+        # The constructor checks p before e, for zero counts too.
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            AbelianGroup(0, ((4, 1, 1),))
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            AbelianGroup(0, ((4, 0, 0),))
+        with pytest.raises(ValueError, match="^exponent must be >= 1$"):
+            AbelianGroup(0, ((3, 0, 1),))
+        assert torsion_order(AbelianGroup(0, ((3, 2, 1),))) == 9
 
     def test_crt(self):
         assert crt([3, 1], [4, 3]) == 7
@@ -252,7 +256,7 @@ class TestPrimaryDecomposition:
                 continue
             g = from_invariant_factors(factors)
             assert from_invariant_factors(invariant_factors(g)) == g
-            assert g.torsion_order() == math.prod(factors)
+            assert torsion_order(g) == math.prod(factors)
 
 
 class TestIsomorphism:
@@ -369,4 +373,4 @@ class TestAbelianGroupBasics:
         h = AbelianGroup.from_counts(1, {(2, 1): 1})
         s = direct_sum(g, h)
         assert s.free_rank == rank + 1
-        assert s.torsion_order() == g.torsion_order() * 2
+        assert torsion_order(s) == torsion_order(g) * 2

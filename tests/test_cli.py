@@ -553,6 +553,38 @@ class TestMalformedInput:
         assert code == 0 and json.loads(out)["m"] == 3317044064679887385961980
 
     @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["local", "--m", "-" + "9" * 5000, "--exponents", "1,1"], "--m"),
+            (["local", "--m", "12", "--exponents", "1," + "9" * 5000], "--exponents item"),
+            (["sasaki", "--values", "2,6," + "9" * 5000], "--values item"),
+            (["sasaki", "--values", "2,6,12", "--max-candidates", "9" * 5000], "--max-candidates"),
+        ],
+    )
+    def test_integer_beyond_the_digit_limit(self, capsys, argv, what):
+        # These used to print the interpreter's 4,300-digit message.
+        code, out, err = run_cli(capsys, *argv)
+        assert_input_error(code, out, err)
+        assert err == f"error: {what} has more than 4,300 digits\n"
+
+    def test_json_integer_beyond_the_digit_limit(self, tmp_path, capsys):
+        text = '{"free_rank": 0, "torsion": [{"p": 5, "e": 1, "count": %s}], "i": 0}' % ("4" * 5000)
+        path = tmp_path / "cls.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "gate", str(path))
+        assert_input_error(code, out, err)
+        assert err == "error: JSON integer has more than 4,300 digits\n"
+
+    def test_digit_limit_counts_significant_digits(self, capsys):
+        # 4,300 digits decode, and so does a long run of leading zeros.
+        code, out, err = run_cli(capsys, "enumerate", "--max-torsion-order", "1",
+                                 "--max-k", "-" + "9" * 4300)
+        assert_input_error(code, out, err)
+        assert err.startswith("error: max k must be >= 0")
+        code, out, _ = run_cli(capsys, "local", "--m", "0" * 5000 + "12", "--exponents", "1,5")
+        assert code == 0 and json.loads(out)["m"] == 12
+
+    @pytest.mark.parametrize(
         "field, value",
         [("count", 2.5), ("free_rank", True), ("count", "3"), ("p", 5.0), ("e", True)],
     )

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import random
 
@@ -20,51 +22,51 @@ from seifert5.construct import (
     _torsion_profiles,
     build,
     enumerate_admissible,
-    schedule,
-    solve_b,
-    solve_twist,
     solve_unit_congruence,
     verify_roundtrip,
 )
-from seifert5.seifert import chern_mu
+from seifert5.seifert import Nonorientable, Orientable, chern_mu
 
-from oracles import enumerate_admissible_by_filter
+from oracles import enumerate_admissible_by_filter, torsion_order
 
 
 def cls_of(k, counts, i):
     return FiveManifoldClass(AbelianGroup.from_counts(k, counts), i)
 
 
+def planned(cls):
+    """build(cls)'s divisors as (chart, m, surface, b), in spec order."""
+    return [(d.chart, d.m, d.surface, d.b) for d in build(cls).divisors]
+
+
 class TestSchedule:
     def test_homology_sphere_example(self):
-        sched = schedule(cls_of(0, {(5, 1): 4}, 0))
-        planned = [(e.slot, e.m, e.orientable, e.genus) for e in sched.entries]
-        assert planned == [(0, 2, True, 0), (0, 5, True, 2)]
+        assert [(c, m, s) for c, m, s, _ in planned(cls_of(0, {(5, 1): 4}, 0))] == [
+            (0, 2, Orientable(0)),
+            (0, 5, Orientable(2)),
+        ]
 
     def test_i_one_example(self):
-        sched = schedule(cls_of(0, {(2, 1): 1}, 1))
-        (entry,) = sched.entries
-        assert (entry.m, entry.orientable, entry.b1) == (2, False, 1)
+        ((_, m, surface, _),) = planned(cls_of(0, {(2, 1): 1}, 1))
+        assert (m, surface) == (2, Nonorientable(1))
 
     def test_k_one_infinity_example(self):
-        sched = schedule(cls_of(1, {(2, 1): 2, (3, 1): 2}, INFINITY))
-        planned = [(e.slot, e.m, e.genus) for e in sched.entries]
-        assert planned == [(1, 2, 1), (1, 3, 1)]
+        divisors = planned(cls_of(1, {(2, 1): 2, (3, 1): 2}, INFINITY))
+        assert [(c, m, s.genus) for c, m, s, _ in divisors] == [(1, 2, 1), (1, 3, 1)]
 
     def test_increasing_powers_right_aligned(self):
-        sched = schedule(cls_of(2, {(3, 1): 2, (3, 2): 4}, 0))
-        threes = [(e.slot, e.m) for e in sched.entries if e.prime == 3]
+        divisors = planned(cls_of(2, {(3, 1): 2, (3, 2): 4}, 0))
+        threes = [(c, m) for c, m, _, _ in divisors if m % 3 == 0]
         assert threes == [(1, 3), (2, 9)]
 
     def test_rejects_with_verdict(self):
         with pytest.raises(GateRejection) as err:
-            schedule(cls_of(0, {(5, 1): 2, (5, 2): 2}, 0))
+            build(cls_of(0, {(5, 1): 2, (5, 2): 2}, 0))
         assert "R1_PRIME_COUNT" in err.value.verdict.violated_rules
 
     def test_i_one_with_even_c2(self):
-        sched = schedule(cls_of(0, {(2, 1): 2}, 1))
-        (entry,) = sched.entries
-        assert not entry.orientable and entry.b1 == 2
+        ((_, _, surface, _),) = planned(cls_of(0, {(2, 1): 2}, 1))
+        assert surface == Nonorientable(2)
 
 
 class TestSolveB:
@@ -95,24 +97,15 @@ class TestSolveB:
             solve_unit_congruence([4, 6])
 
     def test_early_slots_get_one(self):
-        sched = schedule(cls_of(1, {(3, 1): 2, (3, 2): 2}, 0))
-        bs = solve_b(sched)
-        assert bs[(3, 0)] == 1
+        divisors = planned(cls_of(1, {(3, 1): 2, (3, 2): 2}, 0))
+        assert [b for c, m, _, b in divisors if (c, m) == (0, 3)] == [1]
 
 
 class TestSolveTwist:
     def test_examples(self):
-        sched = schedule(cls_of(0, {(5, 1): 4}, 0))
-        bs = solve_b(sched)
-        assert solve_twist(sched, bs, 0) == (-1,)
-
-        sched = schedule(cls_of(1, {(2, 1): 2, (3, 1): 2}, INFINITY))
-        bs = solve_b(sched)
-        assert solve_twist(sched, bs, INFINITY) == (0, -1)
-
-        sched = schedule(cls_of(0, {(2, 1): 1}, 1))
-        bs = solve_b(sched)
-        assert solve_twist(sched, bs, 1) == (0,)
+        assert build(cls_of(0, {(5, 1): 4}, 0)).twist == (-1,)
+        assert build(cls_of(1, {(2, 1): 2, (3, 1): 2}, INFINITY)).twist == (0, -1)
+        assert build(cls_of(0, {(2, 1): 1}, 1)).twist == (0,)
 
     def test_chart_k_coordinate_is_unit_fraction(self):
         rng = random.Random(71)
@@ -126,8 +119,8 @@ class TestSolveTwist:
             spec = build(cls_of(k, counts, i))
             c1 = full_report(spec).c1
             m_x = spec.multiplicity_lcm()
-            assert c1[spec.k].numerator == 1
-            assert c1[spec.k].denominator == m_x
+            assert c1[k].numerator == 1
+            assert c1[k].denominator == m_x
 
 
 class TestBuild:
@@ -169,13 +162,51 @@ class TestBuild:
             assert spec.validate() == []
             mu = chern_mu(spec)
             # c1(L/mu) = H_k + 2 * (span of the earlier charts)
-            assert mu[spec.k] == 1
-            assert all(x % 2 == 0 for x in mu[: spec.k])
+            assert mu[cls.k] == 1
+            assert all(x % 2 == 0 for x in mu[: cls.k])
             assert math.gcd(*mu) == 1
 
     def test_deterministic(self):
         cls = cls_of(2, {(2, 1): 2, (3, 1): 4, (5, 1): 2}, 0)
         assert build(cls) == build(cls)
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for doc in lines:
+        h.update(json.dumps(doc, separators=(",", ":")).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestBuildDigest:
+    # Byte-level pins of build's output, recorded before build became one
+    # pass: each spec's canonical JSON, or the rules of its rejection.
+    def test_gate_oracle_grid(self):
+        # The grid of TestGateOracle: every profile of order <= 512, k <= 3.
+        lines = []
+        for counts in _torsion_profiles(512):
+            for k in range(4):
+                group = AbelianGroup.from_counts(k, counts)
+                for i in (0, 1, 2, 3, INFINITY):
+                    try:
+                        lines.append(build(FiveManifoldClass(group, i)).to_json_dict())
+                    except GateRejection as exc:
+                        lines.append(list(exc.verdict.violated_rules))
+        assert len(lines) == 21_200
+        assert sum(isinstance(doc, dict) for doc in lines) == 374
+        assert _digest(lines) == (
+            "71f2632fe4e0f3293398105f39f04690356ca8c2335979952b25d179175d9694"
+        )
+
+    def test_enumerate_20000_4(self):
+        lines = [
+            {"class": cls.to_json_dict(), "spec": spec.to_json_dict()}
+            for cls, spec in enumerate_admissible(20000, 4)
+        ]
+        assert len(lines) == 3_711
+        assert _digest(lines) == (
+            "5b6c4ea7dcddd8b86609e7e1f297563fec14a8650523e86e847ec581e9635306"
+        )
 
 
 class TestRoundTrip:
@@ -241,7 +272,7 @@ class TestEnumerate:
             assert circle_action_admissible(cls).admissible
             assert spec.validate() == []
             i_key = (1, 0) if cls.i is INFINITY else (0, cls.i)
-            keys.append((cls.k, cls.h2.torsion_order(), cls.h2.torsion, i_key))
+            keys.append((cls.k, torsion_order(cls.h2), cls.h2.torsion, i_key))
         assert keys == sorted(keys)
 
     def test_contents_small(self):

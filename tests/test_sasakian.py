@@ -22,6 +22,7 @@ from oracles import (
     pruned_cover_search_reference,
     quadratic_cover_search_reference,
     quadratic_interval_count,
+    value_at,
 )
 
 
@@ -66,9 +67,9 @@ class TestQuadratic:
         rng = random.Random(79)
         for _ in range(200):
             q = Quadratic(rng.randint(1, 5), rng.randint(-10, 10), rng.randint(-20, 20))
-            image = {q(t) for t in range(-60, 61)}
-            for v in range(q(0) - 30, q(0) + 50):
-                expected = v in image if abs(v - q(0)) < 500 else None
+            image = {value_at(q, t) for t in range(-60, 61)}
+            for v in range(q.c - 30, q.c + 50):
+                expected = v in image if abs(v - q.c) < 500 else None
                 if expected is not None and v in image:
                     assert q.contains(v)
             for v in list(image)[:20]:
@@ -80,8 +81,8 @@ class TestQuadratic:
         rng = random.Random(97)
         for _ in range(60):
             q = Quadratic(rng.randint(1, 5), rng.randint(-10, 10), rng.randint(-20, 20))
-            image = {q(t) for t in range(-30, 31)}
-            for v in range(min(image) - 30, min(q(-30), q(30))):
+            image = {value_at(q, t) for t in range(-30, 31)}
+            for v in range(min(image) - 30, min(value_at(q, -30), value_at(q, 30))):
                 assert q.contains(v) == (v in image), (q, v)
 
     def test_requires_positive_leading(self):
@@ -674,7 +675,7 @@ class TestSasakiCheck:
         base = degree_family(10)
         report = sasaki_check(base)
         q = report.witness
-        extended = base + [q(20)]
+        extended = base + [value_at(q, 20)]
         report2 = sasaki_check(extended)
         assert report2.feasible
         assert len(report2.exceptions) == len(report.exceptions)

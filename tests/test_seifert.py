@@ -145,7 +145,7 @@ class TestJson:
         rng = random.Random(47)
         for _ in range(50):
             spec = random_valid_spec(rng)
-            again = SeifertSpec.from_json(spec.to_json())
+            again = SeifertSpec.from_json_dict(json.loads(spec.to_json()))
             assert again == spec
 
     def test_unknown_field_named(self):
