@@ -102,28 +102,45 @@ def _brent(n: int, c: int) -> int:
     """Pollard rho in Brent's variant on x -> x**2 + c mod n, from x = 2.
 
     Returns a divisor of the composite n, which is n itself when this c
-    fails.
+    fails.  It takes the steps of one gcd per step, gcd(x - y, n) with x
+    fixed over each doubling block, but multiplies the differences mod n
+    over batches of 64 steps and takes one gcd per batch (Brent 1980).  A
+    batch's gcd is 1 exactly when every step's gcd is 1.  The first batch
+    whose gcd is not 1 is redone one step at a time from its start, and
+    the first step whose gcd is not 1 gives the result, so this returns
+    what one gcd per step returns, for every n.
     """
     y, r, g = 2, 1, 1
     while g == 1:
         x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-            g = math.gcd(x - y, n)
+        for k in range(0, r, 64):
+            start, q = y, 1
+            for _ in range(min(64, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
             if g != 1:
                 break
         r *= 2
-    return g
+    y = start
+    while True:
+        y = (y * y + c) % n
+        g = math.gcd(x - y, n)
+        if g != 1:
+            return g
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as an exponent map sorted by prime.
 
     The primes below 1000 are divided out first, stopping at p**2 > n; a
-    composite cofactor left over has only large prime factors and is split
-    by Pollard rho (Brent's variant, constants c = 1, 2, ... in turn), each
-    part tested with the same deterministic primality check as `is_prime`,
-    so a cofactor at or above 3.3 * 10**24 raises ValueError.
+    cofactor left over has only large prime factors, and each part is
+    tested with the same deterministic primality check as `is_prime`, so a
+    cofactor at or above 3.3 * 10**24 raises ValueError.  A composite part
+    that is a perfect square splits into its two square roots with one
+    `isqrt`, so a prime square takes one step and p**4 two; any other
+    composite part is split by Pollard rho (Brent's variant with batched
+    gcd, constants c = 1, 2, ... in turn).
 
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}
@@ -131,6 +148,8 @@ def factorize(n: int) -> dict[int, int]:
     {}
     >>> factorize(1_000_000_007 * 998_244_353)
     {998244353: 1, 1000000007: 1}
+    >>> factorize(1_000_000_007 ** 2)
+    {1000000007: 2}
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -150,6 +169,10 @@ def factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if _is_prime_rough(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        r = math.isqrt(m)
+        if r * r == m:
+            stack += [r, r]
             continue
         c, d = 1, m
         while d == m:

@@ -36,9 +36,9 @@ function here checks its argument.  On those specs:
   nonorientable divisor forces Wu invariant 1.
 
 A report is assembled from two facts, each computed once: c1(L/mu) is
-formed in integers, and, when |H_1| = 1, every multiplicity is factored.
-The H_2 / H^3 torsion counts read the factorizations; |H_1|, the rational
-c1 = c1(L/mu) / m(X) and the Wu certificate read c1(L/mu).
+formed in integers, and, when |H_1| = 1, every distinct multiplicity is
+factored.  The H_2 / H^3 torsion counts read the factorizations; |H_1|,
+the rational c1 = c1(L/mu) / m(X) and the Wu certificate read c1(L/mu).
 """
 
 from __future__ import annotations
@@ -107,15 +107,18 @@ def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
 def _torsion_counts(spec: SeifertSpec) -> dict[tuple[int, int], int]:
     """Shared torsion of H_2 and H^3: (Z/m)^beta per divisor, by primary parts.
 
-    Only the multiplicities with beta > 0 are factored; the spec decoder
-    bounds every multiplicity below where the factorizer refuses.
+    The betas are summed per distinct multiplicity, and only the
+    multiplicities with a positive sum are factored, each once; the spec
+    decoder bounds every multiplicity below where the factorizer refuses.
     """
-    counts: dict[tuple[int, int], int] = {}
+    betas: dict[int, int] = {}
     for d in spec.divisors:
         beta = d.surface.h1_mod2_dim
-        if beta == 0:
-            continue
-        for p, e in factorize(d.m).items():
+        if beta:
+            betas[d.m] = betas.get(d.m, 0) + beta
+    counts: dict[tuple[int, int], int] = {}
+    for m, beta in betas.items():
+        for p, e in factorize(m).items():
             key = (p, e)
             counts[key] = counts.get(key, 0) + beta
     return counts

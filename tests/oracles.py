@@ -328,6 +328,21 @@ def factorize_by_trial_division(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+
+def brent_one_gcd_per_step(n: int, c: int) -> int:
+    """Pollard rho in Brent's variant on x -> x**2 + c mod n, from x = 2,
+    with one gcd per step: the library's `_brent` before it batched them."""
+    y, r, g = 2, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+            if g != 1:
+                break
+        r *= 2
+    return g
+
 # -- the cohomology report, one public function per fact --------------------
 
 

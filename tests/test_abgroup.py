@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert5.abgroup import AbelianGroup, factorize, is_prime
+from seifert5 import abgroup
+from seifert5.abgroup import AbelianGroup, _brent, factorize, is_prime
 
 from oracles import (
     IntMatrix,
+    brent_one_gcd_per_step,
     crt,
     det,
     direct_sum,
@@ -207,6 +209,65 @@ class TestPrimesAndFactoring:
         # A repeated factor, below the 3.3e24 bound where Miller-Rabin is exact.
         n = (10**6 + 3) ** 2 * (10**9 + 7)
         assert factorize(n) == {10**6 + 3: 2, 10**9 + 7: 1}
+
+    def test_prime_squares_split_without_rho(self, monkeypatch):
+        # The largest prime square below the 3.3e24 bound, and p**4 with
+        # two square roots in a row, never reach Pollard rho.
+        calls = []
+
+        def spy(n, c):
+            calls.append(n)
+            return _brent(n, c)
+
+        monkeypatch.setattr(abgroup, "_brent", spy)
+        p = 1_821_275_395_031
+        assert factorize(p * p) == {p: 2}
+        assert factorize((10**6 + 3) ** 4) == {10**6 + 3: 4}
+        assert calls == []
+        # An odd power still goes to rho.
+        assert factorize(1009**3) == {1009: 3}
+        assert calls != []
+
+    def test_cubes_and_three_prime_products(self):
+        known = {
+            1009**3: {1009: 3},
+            999983**3: {999983: 3},
+            (10**6 + 3) ** 3: {10**6 + 3: 3},
+            1009 * 10007 * 999983: {1009: 1, 10007: 1, 999983: 1},
+            10007 * (10**6 + 3) * (10**7 + 19): {10007: 1, 10**6 + 3: 1, 10**7 + 19: 1},
+            1009 * (10**6 + 3) * (10**8 + 7): {1009: 1, 10**6 + 3: 1, 10**8 + 7: 1},
+            (10**6 + 3) ** 3 * (10**6 + 33): {10**6 + 3: 3, 10**6 + 33: 1},
+        }
+        for n, factors in known.items():
+            assert factorize(n) == factors
+
+    def test_batched_rho_agrees_with_one_gcd_per_step(self):
+        # Same sequence, same result: a batch whose gcd is not 1 is redone
+        # step by step from its start, so the first step whose gcd is not 1
+        # decides, for every n, and also when a c fails and returns n.
+        rng = random.Random(19)
+
+        def prime(lo, hi):
+            while True:
+                p = round(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+                if is_prime(p):
+                    return p
+
+        products = []
+        while len(products) < 200:
+            p, q = prime(1009, 10**7), prime(1009, 10**7)
+            if p != q:
+                products.append(p * q)
+        products += [prime(1009, 5000) * prime(1009, 5000) * prime(1009, 5000)
+                     for _ in range(50)]
+        products += [1009**3, 999983**3, (10**6 + 3) ** 3]
+        failed = 0
+        for n in products:
+            for c in range(1, 9):
+                g = _brent(n, c)
+                assert g == brent_one_gcd_per_step(n, c), (n, c)
+                failed += g == n
+        assert failed > 0
 
     def test_prime_power_validation(self):
         # The constructor checks p before e, for zero counts too.

@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
-from seifert5 import cli
+from seifert5 import abgroup, cli
+from seifert5.abgroup import AbelianGroup
 from seifert5.cli import main
+from seifert5.cohomology import full_report
+from seifert5.seifert import SeifertSpec
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +179,29 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["match"] is False
         assert any(d["field"] == "h2" for d in doc["diffs"])
+
+    def test_largest_prime_square_splits_without_rho(self, tmp_path, capsys, monkeypatch):
+        # m = p**2 with p = 1,821,275,395,031, the largest prime square below
+        # the multiplicity bound, splits by its square root, not by Pollard rho.
+        calls = []
+        brent = abgroup._brent
+
+        def spy(n, c):
+            calls.append(n)
+            return brent(n, c)
+
+        monkeypatch.setattr(abgroup, "_brent", spy)
+        p = 1_821_275_395_031
+        spec = dict(GENUS_TWO_SPEC, divisors=[
+            {"chart": 0, "surface": {"orientable": True, "genus": 2}, "m": p * p, "b": 1}])
+        report = full_report(SeifertSpec.from_json_dict(spec))
+        assert report.h2 == AbelianGroup.from_counts(0, {(p, 2): 4})
+        code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec))
+        assert code == 0
+        # Recorded from the implementation that split p**2 by rho.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b47a9af08530656ce1ee10e4072cd688145fb692d092dc9dc33a7308de01b767")
+        assert calls == []
 
     def test_invalid_spec_is_input_error(self, tmp_path, capsys):
         spec = {

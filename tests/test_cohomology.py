@@ -358,8 +358,8 @@ def _random_generator_spec(rng, pool=(2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 25
                                       1009**2, 1013**2, 2003**2)):
     """A generator-class spec: 1-4 charts, up to three pairwise coprime
     multiplicities per chart from `pool` (by default small composites, and
-    squares of primes above 1000 that the factorizer splits by Pollard
-    rho), some nonorientable m = 2 divisors, twist in [-2, 2]."""
+    squares of primes above 1000 that the factorizer splits by its square
+    step), some nonorientable m = 2 divisors, twist in [-2, 2]."""
     charts = rng.randint(1, 4)
     divisors = []
     for chart in range(charts):
@@ -411,6 +411,34 @@ class TestReportEquivalence:
         assert report.h1_order == 1
         assert report.h2 == AbelianGroup(free_rank=2, torsion=((7, 1, 2),))
         assert calls == [7]
+
+    def test_factors_each_distinct_multiplicity_once(self, monkeypatch):
+        # The betas are summed per distinct m before anything is factored.
+        calls = []
+        factorize = cohomology.factorize
+
+        def spy(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(cohomology, "factorize", spy)
+        spec = spec_of([Divisor(0, Orientable(1), 15, 1), Divisor(1, Orientable(2), 15, 1),
+                        Divisor(2, Nonorientable(1), 2, 1), Divisor(2, Orientable(0), 15, 1),
+                        Divisor(3, Orientable(1), 15, 1), Divisor(3, Orientable(1), 7, 1)],
+                       [0, 0, 0, 0], charts=4)
+        report = full_report(spec)
+        assert report.h2 == AbelianGroup.from_counts(
+            3, {(2, 1): 1, (3, 1): 8, (5, 1): 8, (7, 1): 2})
+        assert report.to_json_dict() == full_report_reference(spec).to_json_dict()
+        assert calls == [15, 2, 7]
+        rng = random.Random(1019)
+        for _ in range(200):
+            spec = _random_generator_spec(rng)
+            calls.clear()
+            doc = full_report(spec).to_json_dict()
+            assert doc == full_report_reference(spec).to_json_dict()
+            torsion_ms = {d.m for d in spec.divisors if d.surface.h1_mod2_dim}
+            assert sorted(calls) == (sorted(torsion_ms) if doc["h1_order"] == 1 else [])
 
     def test_random_generator_specs(self):
         rng = random.Random(2026)
