@@ -18,6 +18,11 @@ rules checked by :func:`circle_action_admissible`:
     R1  per prime p, at most k + 1 exponents e have count(p, e) != 0;
     R2  i is one of 0, 1, INFINITY;
     R3  if i = INFINITY, at most k exponents e have count(2, e) != 0.
+
+Each rule, and each condition of realizability, either ignores k or holds
+from some k on, so a (torsion, i) pair passes the gate exactly for k at or
+above a least rank, or for no k.  `_least_k` gives that rank from the same
+per-rule thresholds the gate compares k against.
 """
 
 from __future__ import annotations
@@ -164,18 +169,8 @@ def validate_i(h2: AbelianGroup, i: WuValue) -> bool:
     finite i = n >= 1 needs a torsion class of order exactly 2^n.
     """
     _check_i_type(i)
-    if isinstance(i, Infinity):
-        return h2.free_rank >= 1
-    return i == 0 or any(p == 2 and e == i for p, e, _ in h2.torsion)
-
-
-def _doubled(h2: AbelianGroup, i: WuValue) -> bool:
-    """Is the torsion A + A, or A + A + Z/2 with i forced to 1?
-
-    The counts are all even, or (2, 1) is the only odd one and i = 1.
-    """
-    odd = [(p, e) for p, e, c in h2.torsion if c % 2]
-    return not odd or (odd == [(2, 1)] and i == 1)
+    _, _, _, valid, _ = _thresholds(h2.torsion, i)
+    return valid is not None and h2.free_rank >= valid
 
 
 def smale_barden_realizable(cls: FiveManifoldClass) -> bool:
@@ -185,7 +180,38 @@ def smale_barden_realizable(cls: FiveManifoldClass) -> bool:
     achievable i) or A + A + Z/2 (count(2, 1) odd, everything else even,
     and then i is forced to be 1).
     """
-    return validate_i(cls.h2, cls.i) and _doubled(cls.h2, cls.i)
+    _, _, _, valid, doubled = _thresholds(cls.h2.torsion, cls.i)
+    return valid is not None and cls.k >= valid and doubled is not None
+
+
+def _thresholds(torsion, i: WuValue) -> tuple[int | None, ...]:
+    """Per rule, in the order R1, R2, R3, INVALID_I, NOT_REALIZABLE, the
+    least free rank k from which the rule holds, or None if it never does.
+
+    R1 holds from (largest per-prime spread) - 1 on, R3 under i = INFINITY
+    from spread(2) on, and INVALID_I under i = INFINITY (`validate_i`)
+    from 1 on.  R2, NOT_REALIZABLE (torsion A + A, or A + A + Z/2 with
+    i = 1) and INVALID_I for a finite i do not read k: 0 or None.  The
+    spread of p counts its exponents with a nonzero count.  `torsion` is
+    an iterable of (p, e, count) triples, read once.
+    """
+    infinite = isinstance(i, Infinity)
+    carried = infinite or i == 0
+    spread: dict[int, int] = {}
+    odd = []
+    for p, e, count in torsion:
+        spread[p] = spread.get(p, 0) + 1
+        if count % 2:
+            odd.append((p, e))
+        if p == 2 and e == i:
+            carried = True
+    return (
+        max(spread.values(), default=1) - 1,
+        0 if infinite or i in (0, 1) else None,
+        spread.get(2, 0) if infinite else 0,
+        (1 if infinite else 0) if carried else None,
+        0 if not odd or (odd == [(2, 1)] and i == 1) else None,
+    )
 
 
 def circle_action_admissible(cls: FiveManifoldClass) -> GateVerdict:
@@ -194,23 +220,33 @@ def circle_action_admissible(cls: FiveManifoldClass) -> GateVerdict:
     Requires realizability plus rules R1 (prime spread), R2 (Wu range) and
     R3 (2-primary spread under i = INFINITY).  All violated rules are
     reported, in the canonical order R1, R2, R3, then NOT_REALIZABLE or
-    INVALID_I (never both).
+    INVALID_I (never both).  A rule is violated exactly when its
+    `_thresholds` entry is None or above k; `_least_k` reads the same
+    entries, so the gate and the threshold cannot disagree.
     """
-    h2, i, k = cls.h2, cls.i, cls.k
-    # Exponents with a nonzero count, per prime, in one pass over the torsion.
-    spread: dict[int, int] = {}
-    for p, _, _ in h2.torsion:
-        spread[p] = spread.get(p, 0) + 1
-
+    k = cls.k
+    r1, r2, r3, valid, doubled = _thresholds(cls.h2.torsion, cls.i)
     violated = []
-    if any(n > k + 1 for n in spread.values()):
+    if r1 is None or k < r1:
         violated.append(R1_PRIME_COUNT)
-    if not (isinstance(i, Infinity) or i in (0, 1)):
+    if r2 is None or k < r2:
         violated.append(R2_WU_RANGE)
-    if isinstance(i, Infinity) and spread.get(2, 0) > k:
+    if r3 is None or k < r3:
         violated.append(R3_SPIN_TWO_COUNT)
-    if not validate_i(h2, i):
+    if valid is None or k < valid:
         violated.append(INVALID_I)
-    elif not _doubled(h2, i):
+    # An i that H2 cannot carry leaves no realizability question to fail.
+    elif doubled is None or k < doubled:
         violated.append(NOT_REALIZABLE)
     return GateVerdict(admissible=not violated, violated_rules=tuple(violated))
+
+
+def _least_k(torsion, i: WuValue) -> int | None:
+    """The least free rank at which a class with this torsion and this i
+    passes `circle_action_admissible`, or None when no rank does.
+
+    Each rule holds exactly from its `_thresholds` entry on, so the class
+    is admissible exactly for k >= the largest entry.
+    """
+    thresholds = _thresholds(torsion, i)
+    return None if None in thresholds else max(thresholds)

@@ -17,10 +17,10 @@ from typing import Optional
 from .abgroup import _MR_LIMIT, AbelianGroup
 from .classify import (
     FiveManifoldClass,
-    _doubled,
     circle_action_admissible,
     decode_i,
     encode_i,
+    smale_barden_realizable,
     validate_i,
 )
 from .cohomology import Indeterminate, compare, full_report
@@ -72,8 +72,7 @@ def _emit(document: dict, fmt: str, text_lines) -> None:
 def _cmd_classify(args) -> int:
     cls = FiveManifoldClass.from_json_dict(_parse_json(_read_input(args.input)))
     valid = validate_i(cls.h2, cls.i)
-    # smale_barden_realizable would decide validate_i a second time.
-    realizable = valid and _doubled(cls.h2, cls.i)
+    realizable = valid and smale_barden_realizable(cls)
     doc = {
         "h2": cls.h2.to_json_dict(),
         "i": encode_i(cls.i),
@@ -234,13 +233,15 @@ def _cmd_sasaki(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     max_torsion_order = _decimal(args.max_torsion_order, "--max-torsion-order")
+    # One write per line: on an unbuffered stdout, print makes two (the line, then "\n").
+    write = sys.stdout.write
     for cls, spec in enumerate_admissible(max_torsion_order, _decimal(args.max_k, "--max-k")):
         if args.format == "json":
             line = {"class": cls.to_json_dict(), "spec": spec.to_json_dict()}
-            print(json.dumps(line, separators=(",", ":")))
+            write(json.dumps(line, separators=(",", ":")) + "\n")
         else:
-            print(f"k={cls.k} H2={cls.h2} i={encode_i(cls.i)} "
-                  f"divisors={len(spec.divisors)} twist={list(spec.twist)}")
+            write(f"k={cls.k} H2={cls.h2} i={encode_i(cls.i)} "
+                  f"divisors={len(spec.divisors)} twist={list(spec.twist)}\n")
     return EXIT_YES
 
 

@@ -37,8 +37,10 @@ must equal the requested class exactly.
 enumerate_admissible builds its candidates instead of filtering all torsion
 groups: realizable torsion is A + A or A + A + Z/2, so the halves A with
 |A| <= isqrt(N) give every profile that can pass, once for all k.  Each
-candidate goes straight to build, and build's gate alone decides.
-Bounds below their minimum (N < 1, k < 0) raise ValueError.
+(profile, i) passes the gate from a least k on, or never
+(`classify._least_k`), so only candidates at or above it are built, and
+build's gate never rejects one.  Bounds below their minimum (N < 1,
+k < 0) raise ValueError.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .classify import (
     INFINITY,
     FiveManifoldClass,
     GateVerdict,
+    _least_k,
     circle_action_admissible,
 )
 from .cohomology import CohomologyReport, compare, full_report
@@ -231,8 +234,13 @@ def enumerate_admissible(
 
     Candidates are built from halves: torsion A + A or A + A + Z/2 with
     |A| <= isqrt(max_torsion_order), generated once for all k.  That skips
-    only profiles no (k, i) makes realizable; every candidate goes to `build`,
-    and build's gate alone decides: a `GateRejection` skips the candidate.
+    only profiles no (k, i) makes realizable.  Every rule of the gate is
+    monotone in k, so each (profile, i) passes from a least k on, or never
+    (`_least_k`): R1 and R3 bound an exponent count by k + 1 and by k, so
+    raising k only loosens them; INVALID_I under i = INFINITY asks for
+    k >= 1; R2, NOT_REALIZABLE and INVALID_I for a finite i do not read k.
+    The k loop skips a profile, or an i, below its least k with one integer
+    comparison, so `build`, whose gate still runs, never rejects.
 
     Raises ValueError, when iteration starts, if max_torsion_order < 1
     (the trivial group already has order 1) or max_k < 0.
@@ -241,14 +249,21 @@ def enumerate_admissible(
         raise ValueError(f"max torsion order must be >= 1, got {max_torsion_order}")
     if max_k < 0:
         raise ValueError(f"max k must be >= 0, got {max_k}")
-    profiles = _realizable_profiles(max_torsion_order)
+    # Per profile that some k admits: its counts, the least k over its i,
+    # and the least k of each i that has one.
+    candidates = []
+    for counts in _realizable_profiles(max_torsion_order):
+        torsion = [(p, e, c) for (p, e), c in counts.items()]
+        per_i = [(i, k_min) for i in (0, 1, INFINITY)
+                 if (k_min := _least_k(torsion, i)) is not None]
+        if per_i:
+            candidates.append((counts, min(k_min for _, k_min in per_i), per_i))
     for k in range(max_k + 1):
-        for counts in profiles:
+        for counts, lowest, per_i in candidates:
+            if k < lowest:
+                continue
             group = AbelianGroup.from_counts(k, counts)
-            for i in (0, 1, INFINITY):
-                cls = FiveManifoldClass(group, i)
-                try:
-                    spec = build(cls)
-                except GateRejection:
-                    continue
-                yield cls, spec
+            for i, k_min in per_i:
+                if k >= k_min:
+                    cls = FiveManifoldClass(group, i)
+                    yield cls, build(cls)

@@ -7,6 +7,7 @@ import pytest
 from seifert5.abgroup import AbelianGroup, factorize
 from seifert5.classify import (
     INFINITY,
+    _least_k,
     INVALID_I,
     NOT_REALIZABLE,
     R1_PRIME_COUNT,
@@ -224,6 +225,21 @@ class TestGateOracle:
                     assert smale_barden_realizable(cls) == smale_barden_realizable_reference(
                         cls
                     ), (counts, k, i)
+                    cases += 1
+        assert cases == 21_200
+
+    def test_least_k_is_the_gate_threshold(self):
+        # On the same cases: admissible exactly from _least_k on, reading
+        # the torsion as enumerate_admissible hands it over.
+        cases = 0
+        for counts in _torsion_profiles(512):
+            torsion = [(p, e, c) for (p, e), c in counts.items()]
+            for i in (0, 1, 2, 3, INFINITY):
+                least = _least_k(torsion, i)
+                for k in range(4):
+                    cls = FiveManifoldClass(AbelianGroup.from_counts(k, counts), i)
+                    admissible = circle_action_admissible(cls).admissible
+                    assert admissible == (least is not None and k >= least), (counts, k, i)
                     cases += 1
         assert cases == 21_200
 

@@ -368,6 +368,24 @@ class TestEnumerate:
             "527f05e2f633ff1bda068f4e8ba9300f619f38c126bf1911874112889104a80a"
         )
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_one_write_per_line(self, monkeypatch, capsys, fmt):
+        argv = ["enumerate", "--format", fmt, "--max-torsion-order", "64", "--max-k", "2"]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        writes = []
+
+        class Spy:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Spy())
+        assert main(argv) == 0
+        assert len(writes) == expected.count("\n") > 0
+        assert all(w.endswith("\n") and w.count("\n") == 1 for w in writes)
+        assert "".join(writes) == expected
+
     def test_bounds_below_minimum_exit_two(self, capsys):
         for bounds in (["0", "2"], ["-5", "1"], ["4", "-1"]):
             code, out, err = run_cli(
@@ -517,6 +535,12 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, *argv, path)
         assert_input_error(code, out, err)
         assert err.startswith("error: ") and field in err
+
+    def test_twist_longer_than_charts(self, tmp_path, capsys):
+        spec = {"charts": 1, "twist": [1, 0], "divisors": []}
+        code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec))
+        assert_input_error(code, out, err)
+        assert err == "error: TWIST_LENGTH: twist has 2 entries, need 1\n"
 
     def test_non_generator_h2_class(self, tmp_path, capsys):
         spec = json.loads(json.dumps(GENUS_TWO_SPEC))

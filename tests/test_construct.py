@@ -293,18 +293,38 @@ class TestEnumerate:
         )
 
     @pytest.mark.parametrize("max_order, max_k", [(64, 3), (1024, 2)])
-    def test_gates_each_candidate_once(self, monkeypatch, max_order, max_k):
-        # build's gate alone decides: one call per (k, profile, i) candidate
-        calls = []
-        real = construct.circle_action_admissible
+    def test_gates_and_builds_only_yielded_candidates(self, monkeypatch, max_order, max_k):
+        # Candidates below their least k are never built, so build's gate
+        # runs once per yielded class and never rejects, and no group is
+        # made for a (k, profile) that yields nothing.
+        gated, built, rejected, groups = [], [], [], []
+        real_gate, real_build = construct.circle_action_admissible, construct.build
+        real_from_counts = AbelianGroup.from_counts
 
-        def spy(cls):
-            calls.append(cls)
-            return real(cls)
+        def from_counts_spy(k, counts):
+            groups.append(real_from_counts(k, counts))
+            return groups[-1]
 
-        monkeypatch.setattr(construct, "circle_action_admissible", spy)
-        list(enumerate_admissible(max_order, max_k))
-        assert len(calls) == 3 * (max_k + 1) * len(_realizable_profiles(max_order))
+        def gate_spy(cls):
+            gated.append(cls)
+            return real_gate(cls)
+
+        def build_spy(cls):
+            built.append(cls)
+            try:
+                return real_build(cls)
+            except GateRejection:
+                rejected.append(cls)
+                raise
+
+        monkeypatch.setattr(construct, "circle_action_admissible", gate_spy)
+        monkeypatch.setattr(construct, "build", build_spy)
+        monkeypatch.setattr(AbelianGroup, "from_counts", staticmethod(from_counts_spy))
+        yielded = [cls for cls, _ in enumerate_admissible(max_order, max_k)]
+        assert yielded
+        assert gated == built == yielded
+        assert rejected == []
+        assert groups == list(dict.fromkeys(cls.h2 for cls in yielded))
 
     def test_omitted_profiles_are_unrealizable(self):
         n = 1024

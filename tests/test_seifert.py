@@ -8,9 +8,11 @@ import pytest
 from seifert5.cohomology import full_report
 from seifert5.seifert import (
     BAD_H2_CLASS,
+    BAD_MULTIPLICITY,
     BAD_ORBIT_INVARIANT,
     COPRIMALITY,
     NONORIENTABLE_M,
+    TWIST_LENGTH,
     Divisor,
     Nonorientable,
     Orientable,
@@ -81,6 +83,15 @@ class TestValidate:
     def test_bad_orbit_invariant(self):
         codes = issue_codes([Divisor(0, Orientable(0), 4, 2)], [0])
         assert codes == [BAD_ORBIT_INVARIANT]
+
+    @pytest.mark.parametrize("m", [1, 0, -3])
+    def test_multiplicity_below_two(self, m):
+        # m = 1 is refused for its multiplicity, not for its (m, b) pair
+        assert issue_codes([Divisor(0, Orientable(0), m, 1)], [0]) == [BAD_MULTIPLICITY]
+
+    @pytest.mark.parametrize("twist", [(), (1, 0), (0, 0, 0)])
+    def test_twist_length_must_equal_charts(self, twist):
+        assert issue_codes([], twist) == [TWIST_LENGTH]
 
     def test_distinct_charts_do_not_clash(self):
         spec = SeifertSpec(
