@@ -15,8 +15,9 @@ All kernels run on Python ints; overflow cannot occur.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
+
+from ._record import Record
 
 __all__ = [
     "AbelianGroup",
@@ -189,8 +190,7 @@ def _json_int(value, what: str, error: type[ValueError] = ValueError) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Z^free_rank plus prime-power torsion counts, stored canonically.
 
     Torsion is a tuple of (p, e, count) triples sorted by (p, e) with all
@@ -202,10 +202,17 @@ class AbelianGroup:
     Z + (Z/5)^2
     """
 
-    free_rank: int = 0
-    torsion: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int = 0, torsion: tuple[tuple[int, int, int], ...] = ()) -> None:
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check and canonicalize the torsion.  A method of its own, called
+        through the instance, because `bench/spans.py` counts constructed
+        groups by wrapping it."""
         if self.free_rank < 0:
             raise ValueError("free rank must be >= 0")
         merged: dict[tuple[int, int], int] = {}

@@ -27,9 +27,9 @@ per-rule thresholds the gate compares k against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from ._record import Record
 from .abgroup import AbelianGroup
 
 __all__ = [
@@ -110,8 +110,7 @@ def _check_i_type(i: WuValue) -> None:
         raise ValueError(f"i must be a natural number or INFINITY, got {i!r}")
 
 
-@dataclass(frozen=True)
-class FiveManifoldClass:
+class FiveManifoldClass(Record):
     """A candidate (H2, i) pair.
 
     Construction is permissive: pairs that are not realizable (or whose i
@@ -119,11 +118,12 @@ class FiveManifoldClass:
     with a tagged verdict.
     """
 
-    h2: AbelianGroup
-    i: WuValue
+    __slots__ = ("h2", "i")
 
-    def __post_init__(self) -> None:
-        _check_i_type(self.i)
+    def __init__(self, h2: AbelianGroup, i: WuValue) -> None:
+        _check_i_type(i)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "i", i)
 
     @property
     def k(self) -> int:
@@ -147,16 +147,16 @@ class FiveManifoldClass:
         return cls(group, decode_i(data["i"]))
 
 
-@dataclass(frozen=True)
-class GateVerdict:
+class GateVerdict(Record):
     """Outcome of the admissibility gate; carries every violated rule."""
 
-    admissible: bool
-    violated_rules: tuple[str, ...] = ()
+    __slots__ = ("admissible", "violated_rules")
 
-    def __post_init__(self) -> None:
-        if self.admissible != (not self.violated_rules):
+    def __init__(self, admissible: bool, violated_rules: tuple[str, ...] = ()) -> None:
+        if admissible != (not violated_rules):
             raise ValueError("admissible must mean no violated rules")
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "violated_rules", violated_rules)
 
     def to_json_dict(self) -> dict:
         return {"admissible": self.admissible, "violated_rules": list(self.violated_rules)}

@@ -44,10 +44,10 @@ the rational c1 = c1(L/mu) / m(X) and the Wu certificate read c1(L/mu).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._record import Record
 from .abgroup import AbelianGroup, factorize
 from .classify import INFINITY, FiveManifoldClass, encode_i
 from .seifert import Nonorientable, SeifertSpec, base_w2, chern_mu
@@ -199,17 +199,28 @@ def _json_value(value):
     return encode_i(value)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Record):
     """Everything recomputed from a presentation in one value."""
 
-    h1_order: int
-    h2: AbelianGroup | None
-    h3_tors: AbelianGroup | None
-    c1: tuple[Fraction, ...]
-    c1_mu: tuple[int, ...]
-    wu: object
-    simply_connected: bool
+    __slots__ = ("h1_order", "h2", "h3_tors", "c1", "c1_mu", "wu", "simply_connected")
+
+    def __init__(
+        self,
+        h1_order: int,
+        h2: AbelianGroup | None,
+        h3_tors: AbelianGroup | None,
+        c1: tuple[Fraction, ...],
+        c1_mu: tuple[int, ...],
+        wu: object,
+        simply_connected: bool,
+    ) -> None:
+        object.__setattr__(self, "h1_order", h1_order)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "h3_tors", h3_tors)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c1_mu", c1_mu)
+        object.__setattr__(self, "wu", wu)
+        object.__setattr__(self, "simply_connected", simply_connected)
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,7 +16,8 @@ suffix gcds give every c_i in O(r) gcds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "StabilizerRep",
@@ -25,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StabilizerRep:
+class StabilizerRep(Record):
     """A faithful action of Z/m on C^r by coordinate rotations.
 
     Faithful means gcd(j_1, ..., j_r, m) = 1.  Exponents are kept in the
@@ -34,22 +34,22 @@ class StabilizerRep:
     orientation choice of that coordinate's normal plane.
     """
 
-    m: int
-    exponents: tuple[int, ...]
+    __slots__ = ("m", "exponents")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, m: int, exponents: tuple[int, ...]) -> None:
+        if m < 1:
             raise ValueError("stabilizer order must be >= 1")
-        object.__setattr__(self, "exponents", tuple(int(j) for j in self.exponents))
-        for j in self.exponents:
-            if not 1 <= j < self.m:
-                raise ValueError(f"exponent {j} out of range [1, {self.m})")
-        if math.gcd(*self.exponents, self.m) != 1:
+        exponents = tuple(int(j) for j in exponents)
+        for j in exponents:
+            if not 1 <= j < m:
+                raise ValueError(f"exponent {j} out of range [1, {m})")
+        if math.gcd(*exponents, m) != 1:
             raise ValueError("representation is not faithful (common divisor of exponents and m)")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "exponents", exponents)
 
 
-@dataclass(frozen=True)
-class LocalInvariants:
+class LocalInvariants(Record):
     """Derived data of a slice representation.
 
     c[i] is the order of the quasi-reflection subgroup fixing all but the
@@ -58,10 +58,15 @@ class LocalInvariants:
     the slice is a manifold (C = m).
     """
 
-    c: tuple[int, ...]
-    d: tuple[int, ...]
-    C: int
-    manifold_point: bool
+    __slots__ = ("c", "d", "C", "manifold_point")
+
+    def __init__(
+        self, c: tuple[int, ...], d: tuple[int, ...], C: int, manifold_point: bool
+    ) -> None:
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "manifold_point", manifold_point)
 
 
 def local_invariants(rep: StabilizerRep) -> LocalInvariants:

@@ -114,9 +114,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from ._record import Record
 from .abgroup import _MR_LIMIT, factorize
 
 __all__ = [
@@ -196,17 +196,17 @@ def _shift_to_lowest(a: int, b: int, c: int, below: list[int]) -> Optional[tuple
     return taken[0] if len(taken) == 2 else None
 
 
-@dataclass(frozen=True)
-class Quadratic:
+class Quadratic(Record):
     """q(t) = a*t^2 + b*t + c with integer coefficients and a >= 1."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        if self.a < 1:
+    def __init__(self, a: int, b: int, c: int) -> None:
+        if a < 1:
             raise ValueError("leading coefficient must be >= 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def contains(self, v: int) -> bool:
         """Is v = q(t) for some integer t?  Exact discriminant test."""
@@ -224,13 +224,15 @@ class Quadratic:
         return " ".join(terms)
 
 
-@dataclass(frozen=True)
-class DensityViolation:
+class DensityViolation(Record):
     """An interval of the value set too dense for any quadratic image."""
 
-    lo: int
-    hi: int
-    count: int
+    __slots__ = ("lo", "hi", "count")
+
+    def __init__(self, lo: int, hi: int, count: int) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "count", count)
 
     @property
     def bound(self) -> float:
@@ -459,21 +461,30 @@ def _cover_search(
     return (None if best is None else result()), True
 
 
-@dataclass(frozen=True)
-class SasakiReport:
+class SasakiReport(Record):
     """Verdict of the necessary conditions; 'feasible' only means no
     obstruction was found, never a full existence claim."""
 
-    feasible: bool
-    witness: Optional[Quadratic]
-    exceptions: Optional[frozenset[int]]
-    densest_violation: Optional[DensityViolation]
-    duplicates_dropped: bool
-    search_complete: bool
+    __slots__ = ("feasible", "witness", "exceptions", "densest_violation", "duplicates_dropped",
+                 "search_complete")
 
-    def __post_init__(self) -> None:
-        if self.feasible != (self.witness is not None):
+    def __init__(
+        self,
+        feasible: bool,
+        witness: Optional[Quadratic],
+        exceptions: Optional[frozenset[int]],
+        densest_violation: Optional[DensityViolation],
+        duplicates_dropped: bool,
+        search_complete: bool,
+    ) -> None:
+        if feasible != (witness is not None):
             raise ValueError("feasible must mean a witness is present")
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "exceptions", exceptions)
+        object.__setattr__(self, "densest_violation", densest_violation)
+        object.__setattr__(self, "duplicates_dropped", duplicates_dropped)
+        object.__setattr__(self, "search_complete", search_complete)
 
     def to_json_dict(self) -> dict:
         return {

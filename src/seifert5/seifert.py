@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Union
 
+from ._record import Record
 from .abgroup import _MR_LIMIT, _json_int
 
 __all__ = [
@@ -61,30 +61,30 @@ TWIST_LENGTH = "TWIST_LENGTH"
 BAD_H2_CLASS = "BAD_H2_CLASS"
 
 
-@dataclass(frozen=True)
-class Orientable:
+class Orientable(Record):
     """Closed orientable surface of the given genus; dim H1(D, Z/2) = 2g."""
 
-    genus: int
+    __slots__ = ("genus",)
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
+    def __init__(self, genus: int) -> None:
+        if genus < 0:
             raise ValueError("genus must be >= 0")
+        object.__setattr__(self, "genus", genus)
 
     @property
     def h1_mod2_dim(self) -> int:
         return 2 * self.genus
 
 
-@dataclass(frozen=True)
-class Nonorientable:
+class Nonorientable(Record):
     """Closed nonorientable surface with dim H1(D, Z/2) = b1 >= 1."""
 
-    b1: int
+    __slots__ = ("b1",)
 
-    def __post_init__(self) -> None:
-        if self.b1 < 1:
+    def __init__(self, b1: int) -> None:
+        if b1 < 1:
             raise ValueError("b1 must be >= 1")
+        object.__setattr__(self, "b1", b1)
 
     @property
     def h1_mod2_dim(self) -> int:
@@ -94,8 +94,7 @@ class Nonorientable:
 SurfaceType = Union[Orientable, Nonorientable]
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(Record):
     """A branch divisor: chart index, surface type, multiplicity and orbit invariant.
 
     Its homology class is the generator of its chart, the only class the
@@ -104,20 +103,23 @@ class Divisor:
     m = 2) are checked when a SeifertSpec holding the divisor is built.
     """
 
-    chart: int
-    surface: SurfaceType
-    m: int
-    b: int
+    __slots__ = ("chart", "surface", "m", "b")
 
-    def __post_init__(self) -> None:
-        if self.chart < 0:
+    def __init__(self, chart: int, surface: SurfaceType, m: int, b: int) -> None:
+        if chart < 0:
             raise ValueError("chart index must be >= 0")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class SpecIssue:
-    code: str
-    message: str
+class SpecIssue(Record):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
@@ -138,8 +140,7 @@ def base_w2(charts: int) -> tuple[int, ...]:
     return (1,) * charts
 
 
-@dataclass(frozen=True)
-class SeifertSpec:
+class SeifertSpec(Record):
     """A Seifert bundle presentation over the connected sum of `charts` CP^2's.
 
     Valid by construction: the constructor raises SpecValidationError with
@@ -147,15 +148,14 @@ class SeifertSpec:
     again.
     """
 
-    charts: int
-    divisors: tuple[Divisor, ...]
-    twist: tuple[int, ...]
+    __slots__ = ("charts", "divisors", "twist")
 
-    def __post_init__(self) -> None:
-        if self.charts < 1:
+    def __init__(self, charts: int, divisors: tuple[Divisor, ...], twist: tuple[int, ...]) -> None:
+        if charts < 1:
             raise ValueError("need at least one chart")
-        object.__setattr__(self, "divisors", tuple(self.divisors))
-        object.__setattr__(self, "twist", tuple(int(h) for h in self.twist))
+        object.__setattr__(self, "charts", charts)
+        object.__setattr__(self, "divisors", tuple(divisors))
+        object.__setattr__(self, "twist", tuple(int(h) for h in twist))
         issues = self.validate()
         if issues:
             raise SpecValidationError(issues)
@@ -184,6 +184,18 @@ class SeifertSpec:
                 issues.append(
                     SpecIssue(NONORIENTABLE_M, f"divisor {idx} is nonorientable with m = {d.m}")
                 )
+        # One gcd per divisor against the product of the multiplicities
+        # before it in its chart.  Every clashing pair (a, b) makes b's gcd
+        # differ from 1, since gcd(m_a, m_b) divides it, so the pairwise
+        # scan that names the clashes runs only when some gcd is not 1.
+        products: dict[int, int] = {}
+        for d in self.divisors:
+            product = products.get(d.chart, 1)
+            if math.gcd(product, d.m) != 1:
+                break
+            products[d.chart] = product * d.m
+        else:
+            return issues
         for a in range(len(self.divisors)):
             for b in range(a + 1, len(self.divisors)):
                 da, db = self.divisors[a], self.divisors[b]

@@ -385,6 +385,15 @@ class TestAbelianGroupBasics:
         with pytest.raises(ValueError, match="rank"):
             AbelianGroup.from_json_dict({"free_rank": 0, "torsion": [], "rank": 3})
 
+    @pytest.mark.parametrize("data, message", [
+        ([], "group must be a JSON object"),
+        ({"torsion": [{"p": 3, "e": 1, "count": 1, "q": 0}]}, "unknown torsion field 'q'"),
+    ])
+    def test_json_shape_errors(self, data, message):
+        with pytest.raises(ValueError) as info:
+            AbelianGroup.from_json_dict(data)
+        assert str(info.value) == message
+
     def test_json_refuses_negative_count_before_summing(self):
         # a second entry for the same (p, e) used to offset a negative count
         for torsion in (

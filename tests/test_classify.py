@@ -262,6 +262,15 @@ class TestWire:
         with pytest.raises(ValueError, match="'i'"):
             FiveManifoldClass.from_json_dict({"free_rank": 0, "torsion": []})
 
+    @pytest.mark.parametrize("data, message", [
+        ([], "class must be a JSON object"),
+        ({"free_rank": 0, "torsion": [], "i": 0, "w2": 1}, "unknown class field 'w2'"),
+    ])
+    def test_class_json_shape_errors(self, data, message):
+        with pytest.raises(ValueError) as info:
+            FiveManifoldClass.from_json_dict(data)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("value", [2.5, True, "3"])
     @pytest.mark.parametrize("field", ["free_rank", "p", "e", "count", "i"])
     def test_integer_fields_refuse_non_integers(self, field, value):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +13,7 @@ from seifert5.classify import (
     smale_barden_realizable,
 )
 from seifert5 import construct
-from seifert5.cohomology import INDETERMINATE, full_report
+from seifert5.cohomology import INDETERMINATE, CohomologyReport, full_report
 from seifert5.construct import (
     ConstructionDefect,
     GateRejection,
@@ -255,9 +254,15 @@ class TestRoundTrip:
     )
     def test_defect_messages(self, monkeypatch, changes, message):
         real = construct.full_report
-        monkeypatch.setattr(
-            construct, "full_report", lambda spec: dataclasses.replace(real(spec), **changes)
-        )
+
+        def changed(spec):
+            report = real(spec)
+            fields = {"h1_order": report.h1_order, "h2": report.h2, "h3_tors": report.h3_tors,
+                      "c1": report.c1, "c1_mu": report.c1_mu, "wu": report.wu,
+                      "simply_connected": report.simply_connected}
+            return CohomologyReport(**{**fields, **changes})
+
+        monkeypatch.setattr(construct, "full_report", changed)
         with pytest.raises(ConstructionDefect) as info:
             verify_roundtrip(cls_of(0, {(5, 1): 4}, 0))
         assert str(info.value) == message

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from seifert5 import seifert
+from seifert5.abgroup import _primes_below
 from seifert5.cohomology import full_report
 from seifert5.seifert import (
+    BAD_CHART,
     BAD_H2_CLASS,
     BAD_MULTIPLICITY,
     BAD_ORBIT_INVARIANT,
@@ -93,6 +96,9 @@ class TestValidate:
     def test_twist_length_must_equal_charts(self, twist):
         assert issue_codes([], twist) == [TWIST_LENGTH]
 
+    def test_chart_out_of_range(self):
+        assert issue_codes([Divisor(1, Orientable(0), 3, 1)], [0]) == [BAD_CHART]
+
     def test_distinct_charts_do_not_clash(self):
         spec = SeifertSpec(
             charts=2,
@@ -103,6 +109,59 @@ class TestValidate:
             twist=(0, 0),
         )
         assert spec.validate() == []
+
+
+def pairwise_coprimality(divisors):
+    """The COPRIMALITY messages of the plain pairwise scan, in (a, b) order."""
+    return [
+        f"chart {da.chart} carries multiplicities {da.m} and {db.m}"
+        for a, da in enumerate(divisors)
+        for db in divisors[a + 1:]
+        if da.chart == db.chart and math.gcd(da.m, db.m) != 1
+    ]
+
+
+class TestCoprimality:
+    def test_issues_match_the_pairwise_scan(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            divisors = [
+                Divisor(rng.randrange(2), Orientable(0), m, 1)
+                for m in rng.choices([0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 15, -3], k=rng.randint(0, 6))
+            ]
+            try:
+                SeifertSpec(charts=2, divisors=tuple(divisors), twist=(0, 0))
+                issues = []
+            except SpecValidationError as err:
+                issues = err.issues
+            clashes = [i.message for i in issues if i.code == COPRIMALITY]
+            assert clashes == pairwise_coprimality(divisors)
+            assert [i.code for i in issues] == [i.code for i in issues if i.code != COPRIMALITY] \
+                + [COPRIMALITY] * len(clashes)
+
+    @pytest.mark.parametrize("charts, per_chart", [(1, 2000), (4, 2000)])
+    def test_one_gcd_per_divisor_when_coprime(self, monkeypatch, charts, per_chart):
+        # The pairwise scan would take d(d - 1)/2 gcds for one chart of d
+        # divisors; the constructor takes one for (m, b) and one against the
+        # chart's product, per divisor.
+        calls = 0
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def gcd(self, *args):
+                nonlocal calls
+                calls += 1
+                return math.gcd(*args)
+
+        primes = _primes_below(20000)[:per_chart]
+        divisors = tuple(Divisor(chart, Orientable(0), m, 1)
+                         for chart in range(charts) for m in primes)
+        monkeypatch.setattr(seifert, "math", CountingMath())
+        spec = SeifertSpec(charts=charts, divisors=divisors, twist=(0,) * charts)
+        assert len(spec.divisors) == charts * per_chart
+        assert calls <= 2 * len(divisors)
 
 
 class TestChern:
@@ -163,6 +222,28 @@ class TestJson:
         data = {"charts": 1, "divisors": [], "twist": [0], "swizzle": 1}
         with pytest.raises(SpecSchemaError, match="swizzle"):
             SeifertSpec.from_json_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "spec must be a JSON object"),
+        ({"charts": 1, "divisors": []}, "missing field 'twist'"),
+        ({"charts": 1, "divisors": [3], "twist": [0]}, "divisor 0 must be an object"),
+        ({"charts": 1, "divisors": [{"chart": 0, "surface": {"orientable": True}, "m": 3}],
+          "twist": [0]}, "missing field 'b' in divisor 0"),
+        ({"charts": 1, "divisors": [{"chart": 0, "surface": {}, "m": 3, "b": 1}], "twist": [0]},
+         "divisor 0 surface must carry 'orientable'"),
+        ({"charts": 1, "divisors": [{"chart": 0, "surface": {"orientable": True, "b1": 1},
+                                     "m": 3, "b": 1}], "twist": [0]},
+         "unknown field 'b1' in surface 0"),
+        ({"charts": 1, "divisors": [{"chart": 0, "surface": {"orientable": False, "genus": 0},
+                                     "m": 2, "b": 1}], "twist": [0]},
+         "unknown field 'genus' in surface 0"),
+        ({"charts": 1, "divisors": [{"chart": 0, "surface": {"orientable": False}, "m": 2, "b": 1}],
+          "twist": [0]}, "missing field 'b1' in nonorientable surface 0"),
+    ])
+    def test_schema_errors(self, data, message):
+        with pytest.raises(SpecSchemaError) as err:
+            SeifertSpec.from_json_dict(data)
+        assert str(err.value) == message
 
     def test_unknown_divisor_field_named(self):
         data = {
