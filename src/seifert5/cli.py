@@ -24,7 +24,7 @@ from .classify import (
     validate_i,
 )
 from .cohomology import Indeterminate, compare, full_report
-from .construct import GateRejection, build, enumerate_admissible, verify_roundtrip
+from .construct import GateRejection, _checked_report, build, enumerate_admissible
 from .orbit_local import StabilizerRep, local_invariants
 from .sasakian import (
     DEFAULT_CANDIDATE_CAP,
@@ -118,7 +118,7 @@ def _cmd_construct(args) -> int:
               ["not admissible: " + ", ".join(exc.verdict.violated_rules)])
         return EXIT_NO
     if args.verify:
-        report = verify_roundtrip(cls)
+        report = _checked_report(spec, cls)
         doc = {"spec": spec.to_json_dict(), "report": report.to_json_dict()}
         _emit(doc, args.format, [spec.to_json(), _report_text(report)])
     else:

@@ -23,22 +23,35 @@ function here checks its argument.  On those specs:
   sum_i (Z/m_i)^beta_i with beta_i = dim H_1(D_i, Z/2); the free rank of
   H_2(L) is charts - 1.
 
-* w2(L) is the pullback of w2(X) + sum b_i [D_i] + twist (all divisors
-  orientable).  Two generator families provably die under the mod-2
-  pullback: c1(L/mu) and every [D_i] with even m_i; their span K2 gives
-  the certificate for Wu invariant 0.  For INFINITY the certificate is an
-  injectivity argument on the even-free charts: restricting the bundle to
-  those charts plus a single even chart, the mod-2 pullback is injective
-  on the even-free coordinates because the remaining cokernel has odd
-  order.  K2 holds the unit vector of every chart that carries an even
-  multiplicity, so every w outside K2 is congruent mod K2 to a vector on
-  the even-free charts, and w not in K2 certifies INFINITY.  Any
-  nonorientable divisor forces Wu invariant 1.
+* w2(L) is the pullback of w = w2(X) + sum b_i [D_i] + twist (all
+  divisors orientable); any nonorientable divisor forces Wu invariant 1.
+  Two generator families provably die under the mod-2 pullback: c1(L/mu)
+  and every [D_i] with even m_i; their span K2 gives the certificate for
+  Wu invariant 0.  Call a chart even when it holds an even multiplicity.
+  Then w lies in K2 exactly when w vanishes on every chart that is not
+  even, in two cases:
+
+  - m(X) even: coordinate l of c1(L/mu) is m(X) h_l + sum b_i m(X)/m_i
+    over the divisors of chart l, and is odd only when chart l holds the
+    divisor with the full 2-power of m(X).  So c1(L/mu) mod 2 lies on the
+    even charts, and K2 is the span of their unit vectors.
+  - m(X) odd: there is no even chart, and every m(X)/m_i is odd, so
+    w = c1(L/mu) + (1, ..., 1) mod 2.  K2 = {0, c1(L/mu)} then holds w
+    only when w = 0.
+
+  For INFINITY the certificate is an injectivity argument on the charts
+  that are not even: restricting the bundle to those charts plus a single
+  even chart, the mod-2 pullback is injective on their coordinates
+  because the remaining cokernel has odd order.  Every w outside K2 is
+  congruent mod K2 to a nonzero vector on those charts, so w not in K2
+  certifies INFINITY.  The Wu invariant is therefore one pass over the
+  divisors and the charts.
 
 A report is assembled from two facts, each computed once: c1(L/mu) is
 formed in integers, and, when |H_1| = 1, every distinct multiplicity is
-factored.  The H_2 / H^3 torsion counts read the factorizations; |H_1|,
-the rational c1 = c1(L/mu) / m(X) and the Wu certificate read c1(L/mu).
+factored.  The H_2 / H^3 torsion counts read the factorizations; |H_1|
+and the rational c1 = c1(L/mu) / m(X) read c1(L/mu).  The Wu invariant
+reads neither: it compares `w2_class` with the even charts.
 """
 
 from __future__ import annotations
@@ -139,55 +152,22 @@ def w2_class(spec: SeifertSpec) -> tuple[int, ...]:
     return tuple(x % 2 for x in coords)
 
 
-def _bits(vec) -> int:
-    mask = 0
-    for j, x in enumerate(vec):
-        if x % 2:
-            mask |= 1 << j
-    return mask
-
-
+# No caller: bench/spans.py binds `_F2Span.reduce` for its traced run, so
+# this stays until the benchmark stops asking for it.
 class _F2Span:
-    """Row-reduced span of F_2 vectors packed as bitmasks."""
-
-    def __init__(self, vectors=()):
-        self.basis: list[int] = []
-        for v in vectors:
-            self.add(v)
+    basis: tuple[int, ...] = ()
 
     def reduce(self, v: int) -> int:
         for b in self.basis:
             v = min(v, v ^ b)
         return v
 
-    def add(self, v: int) -> None:
-        v = self.reduce(v)
-        if v:
-            self.basis.append(v)
-            self.basis.sort(reverse=True)
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-
-def _even_kernel_span(spec: SeifertSpec, c1_mu: tuple[int, ...]) -> _F2Span:
-    """K2: the certified subspace of the mod-2 kernel of the pullback.
-
-    Spanned by c1(L/mu) mod 2 together with the classes of even-multiplicity
-    divisors (the pullback of [D] is m times a class, so it dies mod 2 for
-    even m).
-    """
-    span = _F2Span([_bits(c1_mu)])
-    for d in spec.divisors:
-        if d.m % 2 == 0:
-            span.add(1 << d.chart)
-    return span
-
-
-def _wu(spec: SeifertSpec, c1_mu: tuple[int, ...]):
+def _wu(spec: SeifertSpec):
     if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
         return 1
-    return 0 if _even_kernel_span(spec, c1_mu).contains(_bits(w2_class(spec))) else INFINITY
+    even = {d.chart for d in spec.divisors if d.m % 2 == 0}
+    return 0 if all(x == 0 or l in even for l, x in enumerate(w2_class(spec))) else INFINITY
 
 
 def _json_value(value):
@@ -253,7 +233,7 @@ def full_report(spec: SeifertSpec) -> CohomologyReport:
         counts = _torsion_counts(spec)
         h2 = AbelianGroup.from_counts(spec.charts - 1, counts)
         h3 = AbelianGroup.from_counts(0, counts)
-        wu = _wu(spec, c1_mu)
+        wu = _wu(spec)
     return CohomologyReport(
         h1_order=order, h2=h2, h3_tors=h3, c1=c1, c1_mu=c1_mu, wu=wu, simply_connected=order == 1
     )

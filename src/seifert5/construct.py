@@ -160,7 +160,13 @@ def verify_roundtrip(cls: FiveManifoldClass) -> CohomologyReport:
     Any field `compare` reports is a hard defect and raises, naming every
     field of the report that differs from `cls`.
     """
-    report = full_report(build(cls))
+    return _checked_report(build(cls), cls)
+
+
+def _checked_report(spec: SeifertSpec, cls: FiveManifoldClass) -> CohomologyReport:
+    """The round-trip check of `verify_roundtrip` on a spec already built
+    for `cls`, so a caller holding one builds and gates once."""
+    report = full_report(spec)
     diffs = compare(report, cls)
     if diffs:
         raise ConstructionDefect(

@@ -147,6 +147,10 @@ class TestPrimesAndFactoring:
             assert is_prime(n) == is_prime_by_trial_division(n)
             assert factorize(n) == factorize_by_trial_division(n)
 
+    def test_refuses_zero(self):
+        with pytest.raises(ValueError, match="cannot factor 0"):
+            factorize(0)
+
     def test_refused_at_and_beyond_the_proven_bound(self):
         # Deterministic Miller-Rabin is proven below 3,317,044,064,679,887,385,961,981;
         # a cofactor at or above it is refused, never left to unbounded work.

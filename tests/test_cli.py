@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from seifert5 import abgroup, cli
+from seifert5 import abgroup, cli, construct
 from seifert5.abgroup import AbelianGroup
 from seifert5.cli import main
 from seifert5.cohomology import full_report
@@ -108,6 +108,26 @@ class TestConstruct:
         assert doc["spec"]["twist"] == [-1]
         assert doc["report"]["wu"] == 0
         assert doc["report"]["h2"]["torsion"] == [{"p": 5, "e": 1, "count": 4}]
+
+    def test_verify_builds_and_gates_once(self, tmp_path, monkeypatch, capsys):
+        calls = {"build": 0, "gate": 0}
+
+        def spy(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        monkeypatch.setattr(cli, "build", spy("build", construct.build))
+        monkeypatch.setattr(construct, "build", spy("build", construct.build))
+        monkeypatch.setattr(construct, "circle_action_admissible",
+                            spy("gate", construct.circle_action_admissible))
+        path = write_json(
+            tmp_path, "cls.json", {"free_rank": 0, "torsion": HOMOLOGY_SPHERE["torsion"]}
+        )
+        code, out, _ = run_cli(capsys, "construct", "--target-i", "0", "--verify", path)
+        assert code == 0 and json.loads(out)["report"]["wu"] == 0
+        assert calls == {"build": 1, "gate": 1}
 
     def test_inadmissible_exit_one(self, tmp_path, capsys):
         cls = {
@@ -261,6 +281,16 @@ class TestSasaki:
         path = write_json(tmp_path, "cls.json", cls)
         code, out, _ = run_cli(capsys, "sasaki", path)
         assert code == 0
+
+    def test_exhaustive_search_infeasible_text(self, capsys):
+        # Sparse enough to pass the density check, and with no exceptions
+        # allowed the complete search finds no quadratic covering them all.
+        code, out, _ = run_cli(
+            capsys, "sasaki", "--values", "1,2,4,8,16,32", "--max-exceptions", "0",
+            "--format", "text",
+        )
+        assert code == 1
+        assert out == "infeasible: exhaustive search found no covering quadratic\n"
 
     def test_inconclusive_exit_three(self, capsys):
         # passes the density bound, but the candidate cap stops the search

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,33 @@ class TestWu:
     def test_requires_trivial_h1(self):
         # |H_1| = 4: the report certifies no Wu invariant.
         assert wu_invariant(spec_of([Divisor(0, Orientable(1), 3, 1)], [1])) is INDETERMINATE
+
+    @pytest.mark.parametrize("extra, wu", [(0, 0), (1, INFINITY)])
+    def test_linear_in_the_divisors(self, extra, wu):
+        # 8,000 charts with one m = 2 divisor each: every chart is even, so
+        # w2 = 0 gives Wu 0; one extra chart without a divisor carries w2 = 1
+        # and gives INFINITY.  An elimination over the even charts made about
+        # 1,000 calls per divisor at 2,000 charts; one pass makes about 13.
+        n = 8000
+        spec = SeifertSpec(charts=n + extra,
+                           divisors=tuple(Divisor(j, Orientable(0), 2, 1) for j in range(n)),
+                           twist=(0,) * (n + extra))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            report = full_report(spec)
+        finally:
+            sys.setprofile(previous)
+        assert report.h1_order == 1
+        assert report.wu == wu
+        assert calls <= 32 * n
 
 
 class TestSimplyConnected:

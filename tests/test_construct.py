@@ -95,6 +95,10 @@ class TestSolveB:
         with pytest.raises(ValueError):
             solve_unit_congruence([4, 6])
 
+    def test_rejects_modulus_below_two(self):
+        with pytest.raises(ValueError, match="moduli must be >= 2"):
+            solve_unit_congruence([1, 3])
+
     def test_early_slots_get_one(self):
         divisors = planned(cls_of(1, {(3, 1): 2, (3, 2): 2}, 0))
         assert [b for c, m, _, b in divisors if (c, m) == (0, 3)] == [1]

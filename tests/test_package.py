@@ -68,3 +68,32 @@ def test_every_traced_name_resolves(name):
     for part in owners:
         owner = getattr(owner, part)
     assert attr in vars(owner), f"seifert5.{name} no longer exists"
+
+
+# Names src/ keeps only because bench/spans.py binds them for its traced run;
+# nothing in the package uses them.  When the benchmark stops binding one,
+# delete it from src/.
+BENCHMARK_ONLY = ["cohomology._rank_mod_p", "cohomology._F2Span.reduce"]
+SRC = Path(seifert5.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("name", BENCHMARK_ONLY)
+def test_benchmark_only_name_is_still_bound(name):
+    bound = [param.values[0] for param in _bound_names()]
+    assert name in bound, (f"bench/spans.py no longer binds {name}: "
+                           f"delete seifert5.{name} and its entry here")
+
+
+@pytest.mark.parametrize("name", BENCHMARK_ONLY)
+def test_benchmark_only_name_has_no_caller(name):
+    # The module-level name (`_F2Span` for `_F2Span.reduce`) is never read in
+    # src/: a caller would make the benchmark's stub part of a verdict.
+    top = name.split(".")[1]
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == top) or (
+                isinstance(node, ast.Attribute) and node.attr == top
+            ):
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == [], f"seifert5.{name} is kept only for the benchmark, but is used at {uses}"
