@@ -32,7 +32,7 @@ from .sasakian import (
     InconclusiveSearch,
     sasaki_check,
 )
-from .seifert import SeifertSpec, SpecSchemaError, SpecValidationError
+from .seifert import SeifertSpec
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -206,9 +206,7 @@ def _cmd_sasaki(args) -> int:
         group = _group_of(_parse_json(_read_input(args.input)))
         if group.free_rank != 0:
             raise ValueError("sasaki check applies to rational homology spheres (free_rank 0)")
-        values = []
-        for _, _, c in group.torsion:
-            values.append(c)
+        values = [c for _, _, c in group.torsion]
     if len(values) > MAX_SASAKI_VALUES:
         raise ValueError(f"sasaki takes at most {MAX_SASAKI_VALUES:,} values, got {len(values):,}")
     try:
@@ -295,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream admissible classes with their presentations")
     p.add_argument("--max-torsion-order", required=True)
     p.add_argument("--max-k", required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    add_common(p, with_input=False)
     p.set_defaults(func=_cmd_enumerate)
 
     return parser
@@ -306,14 +304,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecSchemaError, SpecValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # SpecSchemaError and SpecValidationError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except AssertionError as exc:
-        print(f"internal defect: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except Exception as exc:
-        # Last resort: an unexpected exception is a defect, never a verdict.
+        # Last resort: an unexpected exception, a failed self-check
+        # (AssertionError, ConstructionDefect) among them, is a defect,
+        # never a verdict.
         print(f"internal defect: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

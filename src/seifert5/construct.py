@@ -50,7 +50,7 @@ from typing import Iterable, Iterator
 
 # No code here calls factorize; the benchmark's tests check that the span
 # tracer patches this copied binding along with the original.
-from .abgroup import AbelianGroup, factorize, is_prime
+from .abgroup import AbelianGroup, _primes_below, factorize
 from .classify import (
     INFINITY,
     FiveManifoldClass,
@@ -179,12 +179,11 @@ def _torsion_profiles(max_order: int) -> Iterator[dict[tuple[int, int], int]]:
     """All prime-power count maps with torsion order <= max_order,
     in (order, canonical encoding) order."""
     powers = []
-    for p in range(2, max_order + 1):
-        if is_prime(p):
-            q, e = p, 1
-            while q <= max_order:
-                powers.append((q, p, e))
-                q, e = q * p, e + 1
+    for p in _primes_below(max_order + 1):
+        q, e = p, 1
+        while q <= max_order:
+            powers.append((q, p, e))
+            q, e = q * p, e + 1
     powers.sort()
 
     profiles: list[tuple[int, dict[tuple[int, int], int]]] = []

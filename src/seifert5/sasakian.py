@@ -519,31 +519,15 @@ def sasaki_check(
     distinct = sorted(set(values))
     duplicates = len(distinct) < len(values)
     violation = interval_density_check(distinct)
-    if violation is not None:
-        return SasakiReport(
-            feasible=False,
-            witness=None,
-            exceptions=None,
-            densest_violation=violation,
-            duplicates_dropped=duplicates,
-            search_complete=False,
-        )
-    found, complete = _cover_search(distinct, max_exceptions, max_candidates)
-    if found is None:
-        return SasakiReport(
-            feasible=False,
-            witness=None,
-            exceptions=None,
-            densest_violation=None,
-            duplicates_dropped=duplicates,
-            search_complete=True,
-        )
-    witness, exceptions = found
+    found, complete = (None, False) if violation else _cover_search(
+        distinct, max_exceptions, max_candidates
+    )
+    witness, exceptions = found or (None, None)
     return SasakiReport(
-        feasible=True,
+        feasible=found is not None,
         witness=witness,
         exceptions=exceptions,
-        densest_violation=None,
+        densest_violation=violation,
         duplicates_dropped=duplicates,
         search_complete=complete,
     )

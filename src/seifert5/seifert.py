@@ -261,16 +261,13 @@ class SeifertSpec(Record):
                 raise SpecSchemaError(
                     f"divisor {idx} orientable must be true or false, got {surf['orientable']!r}"
                 )
+            extra = set(surf) - {"orientable", "genus" if surf["orientable"] else "b1"}
+            if extra:
+                raise SpecSchemaError(f"unknown field {sorted(extra)[0]!r} in surface {idx}")
             if surf["orientable"]:
-                extra = set(surf) - {"orientable", "genus"}
-                if extra:
-                    raise SpecSchemaError(f"unknown field {sorted(extra)[0]!r} in surface {idx}")
                 genus = integer(surf.get("genus", 0), f"divisor {idx} genus")
                 surface: SurfaceType = Orientable(genus=genus)
             else:
-                extra = set(surf) - {"orientable", "b1"}
-                if extra:
-                    raise SpecSchemaError(f"unknown field {sorted(extra)[0]!r} in surface {idx}")
                 if "b1" not in surf:
                     raise SpecSchemaError(f"missing field 'b1' in nonorientable surface {idx}")
                 surface = Nonorientable(b1=integer(surf["b1"], f"divisor {idx} b1"))
@@ -303,8 +300,8 @@ class SeifertSpec(Record):
                 raise SpecSchemaError(f"divisor {idx} m must be below {_MR_LIMIT:,}")
         return spec
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def chern_mu(spec: SeifertSpec) -> tuple[int, ...]:

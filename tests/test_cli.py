@@ -475,6 +475,32 @@ class TestReadmeExamples:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestHelpText:
+    """`seifert5 <command> --help` for every subcommand at 80 columns: exit
+    code and stdout sha256, pinned, so a parser edit that changes an
+    option, its help or its default shows here."""
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("classify", "33e17006fdf978fc42b7e41b8abc2f2f7734b60b203df26c18f22ebdf05a9018"),
+            ("gate", "07a8e6716be16819e62c2f34c20b5cdf668d7a3f442d02644b379e867bdf8200"),
+            ("construct", "68557d02002d90860101015b3e2702962414909dfc1df740a28ee85c22a0ae8f"),
+            ("verify", "df539e893261a3e1537eace38174fdb0212a334d3fa514605d08a15706e6b1a5"),
+            ("local", "c337459123016eb80f832ddcc393cb22a71f832d4f70bdc826c9b42c411dfdef"),
+            ("sasaki", "0b0983a8e03c5f0eb42239e0acdd6dd70ad8a3d0846feac5513490573fd23a3b"),
+            ("enumerate", "0b5feb2ea5dda1a399b44055230c8d215f33be1d79bcc9c328c68753dd69c32c"),
+        ],
+    )
+    def test_golden(self, capsys, monkeypatch, command, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        out, err = capsys.readouterr()
+        assert (done.value.code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = write_json(tmp_path, "cls.json", HOMOLOGY_SPHERE)
@@ -538,13 +564,23 @@ class TestMalformedInput:
         assert_input_error(*run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec)))
 
     def test_unexpected_exception_is_internal_defect(self, monkeypatch, capsys):
-        def broken(args):
-            raise KeyError("x")
+        cases = [
+            (["local", "--m", "12", "--exponents", "3,4"], "_cmd_local", KeyError("x"),
+             "internal defect: KeyError: 'x'\n"),
+            # A failed self-check is an AssertionError, and reads the same way.
+            (["construct", "--target-i", "0", "--verify"], "_checked_report",
+             construct.ConstructionDefect("h2 = 0, expected Z/5"),
+             "internal defect: ConstructionDefect: h2 = 0, expected Z/5\n"),
+        ]
+        for argv, target, defect, line in cases:
+            def broken(*args):
+                raise defect
 
-        monkeypatch.setattr(cli, "_cmd_local", broken)
-        code, out, err = run_cli(capsys, "local", "--m", "12", "--exponents", "3,4")
-        assert_input_error(code, out, err)
-        assert err == "internal defect: KeyError: 'x'\n"
+            monkeypatch.setattr(cli, target, broken)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TestReadmeExamples.GROUP)))
+            code, out, err = run_cli(capsys, *argv)
+            assert_input_error(code, out, err)
+            assert err == line
 
     @pytest.mark.parametrize(
         "argv, document, field",

@@ -336,15 +336,22 @@ class TestEnumerate:
         assert groups == list(dict.fromkeys(cls.h2 for cls in yielded))
 
     def test_omitted_profiles_are_unrealizable(self):
-        n = 1024
-        every = {tuple(sorted(counts.items())): counts for counts in _torsion_profiles(n)}
-        kept = {tuple(sorted(counts.items())) for counts in _realizable_profiles(n)}
-        assert kept <= set(every)
-        for key in set(every) - kept:
-            for k in range(3):
-                group = AbelianGroup.from_counts(k, every[key])
-                for i in (0, 1, INFINITY):
-                    assert not smale_barden_realizable(FiveManifoldClass(group, i)), (key, k, i)
+        # The small bounds pin the prime list's edges: no prime at all, a
+        # prime at the bound, a prime power at the bound.
+        small = {1: [{}], 3: [{}, {(2, 1): 1}, {(3, 1): 1}]}
+        small[4] = small[3] + [{(2, 1): 2}, {(2, 2): 1}]
+        for n in (1, 3, 4, 1024):
+            profiles = list(_torsion_profiles(n))
+            assert profiles == small.get(n, profiles)
+            every = {tuple(sorted(counts.items())): counts for counts in profiles}
+            kept = {tuple(sorted(counts.items())) for counts in _realizable_profiles(n)}
+            assert kept <= set(every)
+            for key in set(every) - kept:
+                for k in range(3):
+                    group = AbelianGroup.from_counts(k, every[key])
+                    for i in (0, 1, INFINITY):
+                        assert not smale_barden_realizable(FiveManifoldClass(group, i)), (
+                            key, k, i)
 
     @pytest.mark.parametrize("max_order, max_k", [(0, 2), (-5, 1), (4, -1)])
     def test_rejects_bounds_below_minimum(self, max_order, max_k):

@@ -139,15 +139,24 @@ def test_equality_and_hash(record):
     assert a != tuple(fields.values())
 
 
-def test_never_equals_another_record_type(record):
-    cls, _, fields, _ = record
+def test_never_equals_another_record_type(record, monkeypatch):
+    cls, _, fields, text = record
     twin = type("Twin", (cls,), {"__slots__": ()})
     assert cls(**fields) != twin(**fields)
     assert twin(**fields) != cls(**fields)
+    # A subclass that adds no slots keeps its parent's fields: it compares,
+    # hashes, prints and pickles by them, not by its own empty `__slots__`.
+    monkeypatch.setattr(sys.modules[__name__], "Twin", twin, raising=False)
+    value = twin(**fields)
+    assert hash(value) == hash(tuple(fields.values()))
+    assert repr(value) == "Twin" + text[len(cls.__name__):]
+    assert pickle.loads(pickle.dumps(value, pickle.HIGHEST_PROTOCOL)) == value
 
 
 def test_same_fields_different_types():
     assert Orientable(1) != Nonorientable(1)
+    twin = type("Twin", (Orientable,), {"__slots__": ()})
+    assert twin(1) != twin(2) and twin(1) == twin(1)
     assert Quadratic(1, 2, 3) != DensityViolation(1, 2, 3)
 
 

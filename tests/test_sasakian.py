@@ -627,6 +627,28 @@ class TestAdjunction:
 
 
 class TestSasakiCheck:
+    @pytest.mark.parametrize("values, limits, document", [
+        # a density violation: no search runs
+        (list(range(2, 61, 2)) + [60], {},
+         {"feasible": False, "witness": None, "exceptions": None,
+          "densest_violation": {"lo": 2, "hi": 54, "count": 27, "bound": 26.42220510185596},
+          "duplicates_dropped": True, "search_complete": False}),
+        # an exhausted search
+        (list(range(1, 36, 2)), {},
+         {"feasible": False, "witness": None, "exceptions": None, "densest_violation": None,
+          "duplicates_dropped": False, "search_complete": True}),
+        # a witness from the complete search
+        ([3, 5, 10, 20, 37, 41, 41], {},
+         {"feasible": True, "witness": {"a": 12, "b": -5, "c": 3}, "exceptions": [5, 37],
+          "densest_violation": None, "duplicates_dropped": True, "search_complete": True}),
+        # a witness from a capped search
+        ([3, 5, 10, 20, 37, 41], {"max_candidates": 2},
+         {"feasible": True, "witness": {"a": 1, "b": 0, "c": 5}, "exceptions": [3, 10, 20, 37],
+          "densest_violation": None, "duplicates_dropped": False, "search_complete": False}),
+    ])
+    def test_report_shapes(self, values, limits, document):
+        assert sasaki_check(values, **limits).to_json_dict() == document
+
     def test_degree_family(self):
         report = sasaki_check(degree_family(12))
         assert report.feasible
