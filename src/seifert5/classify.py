@@ -148,7 +148,8 @@ class FiveManifoldClass(Record):
 
 
 class GateVerdict(Record):
-    """Outcome of the admissibility gate; carries every violated rule."""
+    """Outcome of the admissibility gate; carries every violated rule, and
+    prints as the gate's text line."""
 
     __slots__ = ("admissible", "violated_rules")
 
@@ -160,6 +161,11 @@ class GateVerdict(Record):
 
     def to_json_dict(self) -> dict:
         return {"admissible": self.admissible, "violated_rules": list(self.violated_rules)}
+
+    def __str__(self) -> str:
+        if self.admissible:
+            return "admissible"
+        return "not admissible: " + ", ".join(self.violated_rules)
 
 
 def validate_i(h2: AbelianGroup, i: WuValue) -> bool:

@@ -59,6 +59,8 @@ def _parse_json(text: str):
         return json.loads(text, parse_int=lambda digits: _decimal(digits, "JSON integer"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ValueError("malformed JSON: nested too deeply")
 
 
 def _emit(document: dict, fmt: str, text_lines) -> None:
@@ -87,12 +89,7 @@ def _cmd_classify(args) -> int:
 def _cmd_gate(args) -> int:
     cls = FiveManifoldClass.from_json_dict(_parse_json(_read_input(args.input)))
     verdict = circle_action_admissible(cls)
-    doc = verdict.to_json_dict()
-    if verdict.admissible:
-        lines = ["admissible"]
-    else:
-        lines = ["not admissible: " + ", ".join(verdict.violated_rules)]
-    _emit(doc, args.format, lines)
+    _emit(verdict.to_json_dict(), args.format, [str(verdict)])
     return EXIT_YES if verdict.admissible else EXIT_NO
 
 
@@ -114,8 +111,7 @@ def _cmd_construct(args) -> int:
     try:
         spec = build(cls)
     except GateRejection as exc:
-        _emit(exc.verdict.to_json_dict(), args.format,
-              ["not admissible: " + ", ".join(exc.verdict.violated_rules)])
+        _emit(exc.verdict.to_json_dict(), args.format, [str(exc.verdict)])
         return EXIT_NO
     if args.verify:
         report = _checked_report(spec, cls)

@@ -76,7 +76,7 @@ class GateRejection(ValueError):
 
     def __init__(self, verdict: GateVerdict):
         self.verdict = verdict
-        super().__init__(f"not admissible: {', '.join(verdict.violated_rules)}")
+        super().__init__(str(verdict))
 
 
 class ConstructionDefect(AssertionError):

@@ -288,7 +288,7 @@ class SeifertSpec(Record):
             SpecIssue(BAD_H2_CLASS, f"divisor {idx} class {list(h2)} is not the generator "
                                     f"of chart {divisors[idx].chart} ({charts} charts)")
             for idx, h2 in classes.items()
-            if h2 != tuple(int(l == divisors[idx].chart) for l in range(charts))
+            if len(h2) != charts or h2 != tuple(int(l == divisors[idx].chart) for l in range(charts))
         ]
         if issues:
             raise SpecValidationError(issues)

@@ -32,6 +32,13 @@ HOMOLOGY_SPHERE = {
     "i": 0,
 }
 
+INADMISSIBLE = {
+    "free_rank": 0,
+    "torsion": [{"p": 2, "e": 1, "count": 2}, {"p": 2, "e": 2, "count": 2}],
+    "i": "inf",
+}
+REJECTION_LINE = "not admissible: R1_PRIME_COUNT, R3_SPIN_TWO_COUNT, INVALID_I"
+
 
 class TestGate:
     def test_admissible_exit_zero(self, tmp_path, capsys):
@@ -54,6 +61,13 @@ class TestGate:
         code, out, err = run_cli(capsys, "gate", str(path))
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("command", ["gate", "construct"])
+    def test_rejection_text(self, tmp_path, capsys, command):
+        # One line, the rules in the documented order; `construct` prints the same.
+        path = write_json(tmp_path, "cls.json", INADMISSIBLE)
+        code, out, err = run_cli(capsys, command, "--format", "text", path)
+        assert (code, out, err) == (1, REJECTION_LINE + "\n", "")
 
 
 class TestClassify:
@@ -562,6 +576,13 @@ class TestMalformedInput:
         spec = json.loads(json.dumps(GENUS_TWO_SPEC))
         spec["divisors"][0]["m"] = 2.0
         assert_input_error(*run_cli(capsys, "verify", write_json(tmp_path, "spec.json", spec)))
+
+    def test_deeply_nested_json(self, monkeypatch, capsys):
+        # json.loads gives up with a RecursionError at about 1,000 levels.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+        code, out, err = run_cli(capsys, "gate")
+        assert_input_error(code, out, err)
+        assert err == "error: malformed JSON: nested too deeply\n"
 
     def test_unexpected_exception_is_internal_defect(self, monkeypatch, capsys):
         cases = [

@@ -60,8 +60,9 @@ class TestSchedule:
 
     def test_rejects_with_verdict(self):
         with pytest.raises(GateRejection) as err:
-            build(cls_of(0, {(5, 1): 2, (5, 2): 2}, 0))
+            build(cls_of(0, {(2, 1): 2, (2, 2): 2}, INFINITY))
         assert "R1_PRIME_COUNT" in err.value.verdict.violated_rules
+        assert str(err.value) == "not admissible: R1_PRIME_COUNT, R3_SPIN_TWO_COUNT, INVALID_I"
 
     def test_i_one_with_even_c2(self):
         ((_, _, surface, _),) = planned(cls_of(0, {(2, 1): 2}, 1))

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,21 @@ def test_benchmark_only_name_has_no_caller(name):
             ):
                 uses.append(f"{path.name}:{node.lineno}")
     assert uses == [], f"seifert5.{name} is kept only for the benchmark, but is used at {uses}"
+
+
+@pytest.mark.parametrize("module, least, most", [
+    # A library module loads the package root and what it imports, nothing more.
+    ("orbit_local", {"_record", "orbit_local"}, {"_record", "orbit_local"}),
+    # The traced benchmark run finds every layer in sys.modules once it has
+    # imported the CLI; a CLI that imports its layers on demand breaks that.
+    ("cli", set(_span_tables()["LAYERS"]), set(MODULES)),
+], ids=["orbit_local", "cli"])
+def test_import_loads(module, least, most):
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, seifert5.{module}; print(' '.join(sorted(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True, check=True,
+    )
+    loaded = {name.removeprefix("seifert5.") for name in done.stdout.split()
+              if name.startswith("seifert5.")}
+    assert least <= loaded <= most

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,33 @@ class TestJson:
         with pytest.raises(SpecValidationError) as err:
             SeifertSpec.from_json_dict(data)
         assert [i.code for i in err.value.issues] == [BAD_H2_CLASS]
+
+    def test_class_check_is_bounded_by_the_input(self):
+        # A spec of about 130 bytes can name 100,000 charts, so a class of
+        # the wrong length is refused without building the chart's unit vector.
+        data = {
+            "charts": 100_000,
+            "divisors": [{"chart": 0, "surface": {"orientable": True, "genus": 1}, "m": 3, "b": 1,
+                          "h2_class": [1]}],
+            "twist": [0],
+        }
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            with pytest.raises(SpecValidationError) as err:
+                SeifertSpec.from_json_dict(data)
+        finally:
+            sys.setprofile(previous)
+        assert str(err.value) == ("BAD_H2_CLASS: divisor 0 class [1] is not the generator "
+                                  "of chart 0 (100000 charts)")
+        assert calls <= 1000
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_orientable_must_be_boolean(self, value):
