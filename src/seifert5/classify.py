@@ -52,7 +52,7 @@ __all__ = [
 
 
 class Infinity:
-    """Marker for i = infinity; compares above every integer."""
+    """Marker for i = infinity."""
 
     _instance = None
 
@@ -63,18 +63,6 @@ class Infinity:
 
     def __repr__(self) -> str:
         return "INFINITY"
-
-    def __gt__(self, other: object) -> bool:
-        return isinstance(other, int)
-
-    def __ge__(self, other: object) -> bool:
-        return isinstance(other, int) or other is self
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
 
 
 INFINITY = Infinity()
@@ -151,13 +139,14 @@ class GateVerdict(Record):
     """Outcome of the admissibility gate; carries every violated rule, and
     prints as the gate's text line."""
 
-    __slots__ = ("admissible", "violated_rules")
+    __slots__ = ("violated_rules",)
 
-    def __init__(self, admissible: bool, violated_rules: tuple[str, ...] = ()) -> None:
-        if admissible != (not violated_rules):
-            raise ValueError("admissible must mean no violated rules")
-        object.__setattr__(self, "admissible", admissible)
+    def __init__(self, violated_rules: tuple[str, ...] = ()) -> None:
         object.__setattr__(self, "violated_rules", violated_rules)
+
+    @property
+    def admissible(self) -> bool:
+        return not self.violated_rules
 
     def to_json_dict(self) -> dict:
         return {"admissible": self.admissible, "violated_rules": list(self.violated_rules)}
@@ -244,7 +233,7 @@ def circle_action_admissible(cls: FiveManifoldClass) -> GateVerdict:
     # An i that H2 cannot carry leaves no realizability question to fail.
     elif doubled is None or k < doubled:
         violated.append(NOT_REALIZABLE)
-    return GateVerdict(admissible=not violated, violated_rules=tuple(violated))
+    return GateVerdict(tuple(violated))
 
 
 def _least_k(torsion, i: WuValue) -> int | None:

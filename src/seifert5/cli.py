@@ -42,6 +42,8 @@ EXIT_UNDECIDED = 3
 # The density check tests every pair of values, so `sasaki` takes at most
 # this many (with duplicates), from --values or from a group's torsion.
 MAX_SASAKI_VALUES = 1000
+# `build` emits free_rank + 1 charts, so `construct` refuses a larger rank.
+MAX_CONSTRUCT_RANK = 10**6
 # Longer integers are refused, at CPython's default limit on int() of a
 # string (sys.int_info.default_max_str_digits).
 MAX_DIGITS = 4300
@@ -108,26 +110,29 @@ def _cmd_construct(args) -> int:
         cls = FiveManifoldClass(_group_of(data), i)
     else:
         cls = FiveManifoldClass.from_json_dict(data)
+    if cls.k > MAX_CONSTRUCT_RANK:
+        raise ValueError(f"construct takes free_rank at most {MAX_CONSTRUCT_RANK:,}, "
+                         f"got {cls.k:,}")
     try:
         spec = build(cls)
     except GateRejection as exc:
         _emit(exc.verdict.to_json_dict(), args.format, [str(exc.verdict)])
         return EXIT_NO
+    doc = spec.to_json_dict()
+    lines = [json.dumps(doc, indent=2)]
     if args.verify:
         report = _checked_report(spec, cls)
-        doc = {"spec": spec.to_json_dict(), "report": report.to_json_dict()}
-        _emit(doc, args.format, [spec.to_json(), _report_text(report)])
-    else:
-        _emit(spec.to_json_dict(), args.format, [spec.to_json()])
+        doc = {"spec": doc, "report": report.to_json_dict()}
+        lines.append(_report_text(report))
+    _emit(doc, args.format, lines)
     return EXIT_YES
 
 
 def _report_text(report) -> str:
     lines = [f"|H1| = {report.h1_order!r}"]
     lines.append(f"H2 = {report.h2}" if report.h2 is not None else "H2 = (undetermined)")
-    lines.append(
-        f"H3 torsion = {report.h3_tors}" if report.h3_tors is not None else "H3 torsion = (undetermined)"
-    )
+    h3 = report.h3_tors
+    lines.append(f"H3 torsion = {h3}" if h3 is not None else "H3 torsion = (undetermined)")
     lines.append("c1 = (" + ", ".join(str(c) for c in report.c1) + ")")
     lines.append("c1(L/mu) = " + str(list(report.c1_mu)))
     wu = "indeterminate" if isinstance(report.wu, Indeterminate) else str(encode_i(report.wu))

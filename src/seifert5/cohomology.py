@@ -49,9 +49,10 @@ function here checks its argument.  On those specs:
 
 A report is assembled from two facts, each computed once: c1(L/mu) is
 formed in integers, and, when |H_1| = 1, every distinct multiplicity is
-factored.  The H_2 / H^3 torsion counts read the factorizations; |H_1|
-and the rational c1 = c1(L/mu) / m(X) read c1(L/mu).  The Wu invariant
-reads neither: it compares `w2_class` with the even charts.
+factored.  The H_2 torsion counts read the factorizations, and the H^3
+torsion, equal to them, is read off H_2 rather than stored; |H_1|, simple
+connectivity and the rational c1 = c1(L/mu) / m(X) read c1(L/mu).  The
+Wu invariant reads neither: it compares `w2_class` with the even charts.
 """
 
 from __future__ import annotations
@@ -97,24 +98,7 @@ INDETERMINATE = Indeterminate()
 # No caller: bench/spans.py binds this name for its traced run, so it stays
 # until the benchmark stops asking for it.
 def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
-    mat = [[x % p for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    raise NotImplementedError("no caller; kept for bench/spans.py")
 
 
 def _torsion_counts(spec: SeifertSpec) -> dict[tuple[int, int], int]:
@@ -155,12 +139,8 @@ def w2_class(spec: SeifertSpec) -> tuple[int, ...]:
 # No caller: bench/spans.py binds `_F2Span.reduce` for its traced run, so
 # this stays until the benchmark stops asking for it.
 class _F2Span:
-    basis: tuple[int, ...] = ()
-
     def reduce(self, v: int) -> int:
-        for b in self.basis:
-            v = min(v, v ^ b)
-        return v
+        raise NotImplementedError("no caller; kept for bench/spans.py")
 
 
 def _wu(spec: SeifertSpec):
@@ -180,33 +160,39 @@ def _json_value(value):
 
 
 class CohomologyReport(Record):
-    """Everything recomputed from a presentation in one value."""
+    """Everything recomputed from a presentation in one value; the H^3
+    torsion and simple connectivity are derived from H_2 and |H_1|."""
 
-    __slots__ = ("h1_order", "h2", "h3_tors", "c1", "c1_mu", "wu", "simply_connected")
+    __slots__ = ("h1_order", "h2", "c1", "c1_mu", "wu")
 
     def __init__(
         self,
         h1_order: int,
         h2: AbelianGroup | None,
-        h3_tors: AbelianGroup | None,
         c1: tuple[Fraction, ...],
         c1_mu: tuple[int, ...],
         wu: object,
-        simply_connected: bool,
     ) -> None:
         object.__setattr__(self, "h1_order", h1_order)
         object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "h3_tors", h3_tors)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c1_mu", c1_mu)
         object.__setattr__(self, "wu", wu)
-        object.__setattr__(self, "simply_connected", simply_connected)
+
+    @property
+    def simply_connected(self) -> bool:
+        return self.h1_order == 1
+
+    @property
+    def h3_tors(self) -> AbelianGroup | None:
+        return None if self.h2 is None else AbelianGroup(0, self.h2.torsion)
 
     def to_json_dict(self) -> dict:
+        h2 = None if self.h2 is None else self.h2.to_json_dict()
         return {
             "h1_order": self.h1_order,
-            "h2": self.h2.to_json_dict() if self.h2 is not None else None,
-            "h3_torsion": self.h3_tors.to_json_dict() if self.h3_tors is not None else None,
+            "h2": h2,
+            "h3_torsion": None if h2 is None else {"free_rank": 0, "torsion": h2["torsion"]},
             "c1": [str(c) for c in self.c1],
             "c1_mu": list(self.c1_mu),
             "wu": _json_value(self.wu),
@@ -227,16 +213,12 @@ def full_report(spec: SeifertSpec) -> CohomologyReport:
     order = math.gcd(*c1_mu)
     m_x = spec.multiplicity_lcm()
     c1 = tuple(Fraction(x, m_x) for x in c1_mu)
-    h2 = h3 = None
+    h2 = None
     wu = INDETERMINATE
     if order == 1:
-        counts = _torsion_counts(spec)
-        h2 = AbelianGroup.from_counts(spec.charts - 1, counts)
-        h3 = AbelianGroup.from_counts(0, counts)
+        h2 = AbelianGroup.from_counts(spec.charts - 1, _torsion_counts(spec))
         wu = _wu(spec)
-    return CohomologyReport(
-        h1_order=order, h2=h2, h3_tors=h3, c1=c1, c1_mu=c1_mu, wu=wu, simply_connected=order == 1
-    )
+    return CohomologyReport(h1_order=order, h2=h2, c1=c1, c1_mu=c1_mu, wu=wu)
 
 
 class Diff(NamedTuple):

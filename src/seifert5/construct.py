@@ -234,8 +234,8 @@ def enumerate_admissible(
     """Stream every admissible class with torsion order and free rank within
     the bounds, paired with its built presentation.
 
-    Output order is (k, torsion order, canonical torsion encoding, i) with
-    INFINITY sorting after the finite values.
+    Output order is (k, torsion order, canonical torsion encoding, i),
+    with i in the order 0, 1, INFINITY.
 
     Candidates are built from halves: torsion A + A or A + A + Z/2 with
     |A| <= isqrt(max_torsion_order), generated once for all k.  That skips

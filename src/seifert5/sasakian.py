@@ -103,11 +103,13 @@ e + 4, which needs at least e + 5 values.  With fewer, or when the values
 span 3.3 * 10^24 or more (where a difference above the pool might be one
 the factorizer refuses, see `factorize`), no level is built from above.
 
-Small inputs (fewer than budget + 3 distinct values) are additionally
-seeded with the one- and two-point families q = (v2 - v1)*t^2 + v1 and
-q = t^2 + v1, which always exist.  All checks are exact integer
-arithmetic; the bound comparisons square both sides instead of taking
-roots.
+Every search, whatever its size, first scores the one- and two-point
+families q = t^2 + v1 and q = (v2 - v1)*t^2 + v1 over the budget + 3
+smallest values, which always exist.  Completeness needs them only when
+there are fewer than budget + 3 distinct values, where a witness may cover
+fewer than three; with more, they give the loops an early best to prune
+against.  All checks are exact integer arithmetic; the bound comparisons
+square both sides instead of taking roots.
 """
 
 from __future__ import annotations
@@ -465,26 +467,26 @@ class SasakiReport(Record):
     """Verdict of the necessary conditions; 'feasible' only means no
     obstruction was found, never a full existence claim."""
 
-    __slots__ = ("feasible", "witness", "exceptions", "densest_violation", "duplicates_dropped",
+    __slots__ = ("witness", "exceptions", "densest_violation", "duplicates_dropped",
                  "search_complete")
 
     def __init__(
         self,
-        feasible: bool,
         witness: Optional[Quadratic],
         exceptions: Optional[frozenset[int]],
         densest_violation: Optional[DensityViolation],
         duplicates_dropped: bool,
         search_complete: bool,
     ) -> None:
-        if feasible != (witness is not None):
-            raise ValueError("feasible must mean a witness is present")
-        object.__setattr__(self, "feasible", feasible)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "exceptions", exceptions)
         object.__setattr__(self, "densest_violation", densest_violation)
         object.__setattr__(self, "duplicates_dropped", duplicates_dropped)
         object.__setattr__(self, "search_complete", search_complete)
+
+    @property
+    def feasible(self) -> bool:
+        return self.witness is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -524,7 +526,6 @@ def sasaki_check(
     )
     witness, exceptions = found or (None, None)
     return SasakiReport(
-        feasible=found is not None,
         witness=witness,
         exceptions=exceptions,
         densest_violation=violation,

@@ -25,7 +25,6 @@ integral class `chern_mu`, the Chern class of the quotient circle bundle.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Union
 
@@ -299,9 +298,6 @@ class SeifertSpec(Record):
             if d.m >= _MR_LIMIT:
                 raise SpecSchemaError(f"divisor {idx} m must be below {_MR_LIMIT:,}")
         return spec
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def chern_mu(spec: SeifertSpec) -> tuple[int, ...]:

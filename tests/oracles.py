@@ -456,26 +456,23 @@ def _wu_reference(spec, c1_mu):
 def full_report_reference(spec) -> CohomologyReport:
     """The report as it was assembled before its facts were shared:
     c1 in fractions, c1(L/mu) by scaling it, |H_1| from the restriction
-    map over trial-division primes, H_2 and H^3 torsion counted apiece."""
+    map over trial-division primes, the H_2 torsion per divisor by trial
+    division."""
     m_x = spec.multiplicity_lcm()
     c1 = _chern_class_by_fractions(spec)
     c1_mu = tuple(int(c * m_x) for c in c1)
     assert all((c * m_x).denominator == 1 for c in c1)
     order = _h1_order_reference(*restriction_map(spec), c1_mu)
     if order != 1:
-        return CohomologyReport(order, None, None, c1, c1_mu, INDETERMINATE, False)
+        return CohomologyReport(order, None, c1, c1_mu, INDETERMINATE)
 
-    def torsion():
-        counts: dict[tuple[int, int], int] = {}
-        for d in spec.divisors:
-            beta = d.surface.h1_mod2_dim
-            for p, e in (factorize_by_trial_division(d.m).items() if beta else ()):
-                counts[(p, e)] = counts.get((p, e), 0) + beta
-        return counts
-
-    h2 = AbelianGroup.from_counts(spec.charts - 1, torsion())
-    h3 = AbelianGroup.from_counts(0, torsion())
-    return CohomologyReport(order, h2, h3, c1, c1_mu, _wu_reference(spec, c1_mu), True)
+    counts: dict[tuple[int, int], int] = {}
+    for d in spec.divisors:
+        beta = d.surface.h1_mod2_dim
+        for p, e in (factorize_by_trial_division(d.m).items() if beta else ()):
+            counts[(p, e)] = counts.get((p, e), 0) + beta
+    h2 = AbelianGroup.from_counts(spec.charts - 1, counts)
+    return CohomologyReport(order, h2, c1, c1_mu, _wu_reference(spec, c1_mu))
 
 
 # -- the admissibility gate, one fact per rule --------------------------------
@@ -536,7 +533,7 @@ def circle_action_admissible_reference(cls):
         violated.add(R3_SPIN_TWO_COUNT)
 
     ordered = tuple(tag for tag in _RULE_ORDER if tag in violated)
-    return GateVerdict(admissible=not ordered, violated_rules=ordered)
+    return GateVerdict(ordered)
 
 
 def enumerate_admissible_by_filter(max_torsion_order, max_k):

@@ -14,7 +14,6 @@ from seifert5.classify import (
     R2_WU_RANGE,
     R3_SPIN_TWO_COUNT,
     FiveManifoldClass,
-    GateVerdict,
     circle_action_admissible,
     decode_i,
     encode_i,
@@ -176,10 +175,6 @@ class TestGate:
         )
         assert NOT_REALIZABLE in v.violated_rules
 
-    def test_verdict_consistency(self):
-        with pytest.raises(ValueError):
-            GateVerdict(admissible=True, violated_rules=(R1_PRIME_COUNT,))
-
     def test_monotone_in_k(self):
         rng = random.Random(99)
         groups = torsion_groups_up_to(48)
@@ -221,7 +216,7 @@ class TestGateOracle:
                     verdict = circle_action_admissible(cls)
                     want = circle_action_admissible_reference(cls)
                     assert verdict.violated_rules == want.violated_rules, (counts, k, i)
-                    assert verdict.admissible == want.admissible, (counts, k, i)
+                    assert verdict.admissible is (not verdict.violated_rules), (counts, k, i)
                     assert smale_barden_realizable(cls) == smale_barden_realizable_reference(
                         cls
                     ), (counts, k, i)

@@ -9,6 +9,7 @@ import pytest
 
 from seifert5 import abgroup, cli, construct
 from seifert5.abgroup import AbelianGroup
+from seifert5.classify import FiveManifoldClass
 from seifert5.cli import main
 from seifert5.cohomology import full_report
 from seifert5.seifert import SeifertSpec
@@ -142,6 +143,32 @@ class TestConstruct:
         code, out, _ = run_cli(capsys, "construct", "--target-i", "0", "--verify", path)
         assert code == 0 and json.loads(out)["report"]["wu"] == 0
         assert calls == {"build": 1, "gate": 1}
+
+    def test_free_rank_bound(self, tmp_path, monkeypatch, capsys):
+        # `build` emits free_rank + 1 charts, so a larger rank is refused
+        # before anything is built, on both input paths and whatever the gate
+        # would answer; `gate` still answers it.
+        built = []
+        small = construct.build(FiveManifoldClass(AbelianGroup(), 0))
+
+        def spy(cls):
+            built.append(cls.k)
+            return small
+
+        monkeypatch.setattr(cli, "build", spy)
+        huge = write_json(tmp_path, "huge.json", {"free_rank": 10**9, "torsion": [], "i": 0})
+        line = "error: construct takes free_rank at most 1,000,000, got 1,000,000,000\n"
+        for argv in (["construct", huge], ["construct", "--target-i", "2", huge],
+                     ["construct", "--verify", "--format", "text", huge]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", line)
+        assert built == []
+        assert run_cli(capsys, "gate", huge)[0] == 0
+        # At the bound the check passes and `build` is reached.
+        edge = write_json(tmp_path, "edge.json", {"free_rank": 10**6, "torsion": [], "i": 0})
+        code, out, err = run_cli(capsys, "construct", edge)
+        assert (code, err) == (0, "") and json.loads(out) == small.to_json_dict()
+        assert built == [10**6]
 
     def test_inadmissible_exit_one(self, tmp_path, capsys):
         cls = {

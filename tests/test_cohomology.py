@@ -361,6 +361,20 @@ class TestFullReport:
         assert report.wu == 0
         assert report.simply_connected
 
+    def test_builds_one_group(self, monkeypatch):
+        # H_2 is the report's only group; the H^3 torsion is read from it.
+        calls = []
+        post_init = AbelianGroup.__post_init__
+
+        def spy(group):
+            calls.append(group)
+            post_init(group)
+
+        monkeypatch.setattr(AbelianGroup, "__post_init__", spy)
+        report = full_report(spec_of([Divisor(0, Orientable(2), 5, 1)], [0]))
+        report.to_json_dict()
+        assert len(calls) == 1 and report.simply_connected
+
     def test_h1_nontrivial_report(self):
         report = full_report(spec_of([Divisor(0, Orientable(1), 3, 1)], [1]))
         assert report.h1_order == 4
@@ -473,8 +487,14 @@ class TestReportEquivalence:
         wu_seen, h1_seen, nonorientable = set(), set(), 0
         for _ in range(300):
             spec = _random_generator_spec(rng)
-            doc = full_report(spec).to_json_dict()
+            report = full_report(spec)
+            doc = report.to_json_dict()
             assert doc == full_report_reference(spec).to_json_dict()
+            # The derived fields restate |H_1| and H_2 (module docstring).
+            assert report.simply_connected is (report.h1_order == 1)
+            h2 = doc["h2"]
+            assert doc["h3_torsion"] == (None if h2 is None else {"free_rank": 0,
+                                                                  "torsion": h2["torsion"]})
             wu_seen.add(doc["wu"])
             h1_seen.add(doc["h1_order"] == 1)
             nonorientable += any(isinstance(d.surface, Nonorientable) for d in spec.divisors)

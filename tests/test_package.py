@@ -102,6 +102,21 @@ def test_benchmark_only_name_has_no_caller(name):
     assert uses == [], f"seifert5.{name} is kept only for the benchmark, but is used at {uses}"
 
 
+@pytest.mark.parametrize("name", BENCHMARK_ONLY)
+def test_benchmark_only_name_is_a_stub(name):
+    # A stub's body, after any docstring, is one `raise`: no second kernel
+    # grows back behind a name that only the benchmark binds.
+    layer, *owners, attr = name.split(".")
+    body = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8")).body
+    for part in (*owners, attr):
+        (node,) = [n for n in body if getattr(n, "name", None) == part]
+        body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    assert len(body) == 1 and isinstance(body[0], ast.Raise), (
+        f"seifert5.{name} must stay a single raise until the benchmark stops binding it")
+
+
 @pytest.mark.parametrize("module, least, most", [
     # A library module loads the package root and what it imports, nothing more.
     ("orbit_local", {"_record", "orbit_local"}, {"_record", "orbit_local"}),

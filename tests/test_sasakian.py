@@ -647,7 +647,9 @@ class TestSasakiCheck:
           "densest_violation": None, "duplicates_dropped": False, "search_complete": False}),
     ])
     def test_report_shapes(self, values, limits, document):
-        assert sasaki_check(values, **limits).to_json_dict() == document
+        report = sasaki_check(values, **limits)
+        assert report.to_json_dict() == document
+        assert report.feasible is (report.witness is not None)
 
     def test_degree_family(self):
         report = sasaki_check(degree_family(12))

@@ -216,8 +216,8 @@ class TestJson:
         rng = random.Random(47)
         for _ in range(50):
             spec = random_valid_spec(rng)
-            again = SeifertSpec.from_json_dict(json.loads(spec.to_json()))
-            assert again == spec
+            text = json.dumps(spec.to_json_dict(), indent=2)
+            assert SeifertSpec.from_json_dict(json.loads(text)) == spec
 
     def test_unknown_field_named(self):
         data = {"charts": 1, "divisors": [], "twist": [0], "swizzle": 1}
