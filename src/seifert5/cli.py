@@ -119,7 +119,7 @@ def _cmd_construct(args) -> int:
         _emit(exc.verdict.to_json_dict(), args.format, [str(exc.verdict)])
         return EXIT_NO
     doc = spec.to_json_dict()
-    lines = [json.dumps(doc, indent=2)]
+    lines = [json.dumps(doc, indent=2)] if args.format == "text" else []
     if args.verify:
         report = _checked_report(spec, cls)
         doc = {"spec": doc, "report": report.to_json_dict()}

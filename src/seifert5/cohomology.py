@@ -52,7 +52,8 @@ formed in integers, and, when |H_1| = 1, every distinct multiplicity is
 factored.  The H_2 torsion counts read the factorizations, and the H^3
 torsion, equal to them, is read off H_2 rather than stored; |H_1|, simple
 connectivity and the rational c1 = c1(L/mu) / m(X) read c1(L/mu).  The
-Wu invariant reads neither: it compares `w2_class` with the even charts.
+Wu invariant reads neither: it forms w and the even charts in one pass
+over the divisors.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ from typing import NamedTuple
 from ._record import Record
 from .abgroup import AbelianGroup, factorize
 from .classify import INFINITY, FiveManifoldClass, encode_i
-from .seifert import Nonorientable, SeifertSpec, base_w2, chern_mu
+from .seifert import Nonorientable, SeifertSpec, chern_mu
 
 __all__ = [
     "INDETERMINATE",
     "Indeterminate",
     "CohomologyReport",
-    "w2_class",
     "full_report",
     "Diff",
     "compare",
@@ -121,21 +121,6 @@ def _torsion_counts(spec: SeifertSpec) -> dict[tuple[int, int], int]:
     return counts
 
 
-def w2_class(spec: SeifertSpec) -> tuple[int, ...]:
-    """The class over the base whose pullback is w2 of the total space.
-
-    Only defined when every divisor is orientable: w = w2(X) + sum b_i [D_i]
-    + twist, reduced mod 2, in chart coordinates.
-    """
-    if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
-        raise ValueError("w2_class needs orientable divisors; "
-                         "a nonorientable one forces Wu invariant 1")
-    coords = [w + h for w, h in zip(base_w2(spec.charts), spec.twist)]
-    for d in spec.divisors:
-        coords[d.chart] += d.b
-    return tuple(x % 2 for x in coords)
-
-
 # No caller: bench/spans.py binds `_F2Span.reduce` for its traced run, so
 # this stays until the benchmark stops asking for it.
 class _F2Span:
@@ -144,10 +129,17 @@ class _F2Span:
 
 
 def _wu(spec: SeifertSpec):
-    if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
-        return 1
-    even = {d.chart for d in spec.divisors if d.m % 2 == 0}
-    return 0 if all(x == 0 or l in even for l, x in enumerate(w2_class(spec))) else INFINITY
+    # One pass forms w = w2(X) + twist + sum b_i [D_i] mod 2, with w2(X) the
+    # all-ones vector (`seifert` docstring), and the even charts.
+    w = [1 + h for h in spec.twist]
+    even = set()
+    for d in spec.divisors:
+        if isinstance(d.surface, Nonorientable):
+            return 1
+        w[d.chart] += d.b
+        if d.m % 2 == 0:
+            even.add(d.chart)
+    return 0 if all(x % 2 == 0 or l in even for l, x in enumerate(w)) else INFINITY
 
 
 def _json_value(value):

@@ -129,7 +129,6 @@ __all__ = [
     "SasakiReport",
     "InconclusiveSearch",
     "interval_density_check",
-    "quadratic_cover_search",
     "sasaki_check",
 ]
 
@@ -244,11 +243,6 @@ class DensityViolation(Record):
         return {"lo": self.lo, "hi": self.hi, "count": self.count, "bound": self.bound}
 
 
-def _exceeds_density_bound(count: int, length: int) -> bool:
-    # count > 12 + 2*sqrt(length), compared exactly by squaring
-    return count > 12 and (count - 12) ** 2 > 4 * length
-
-
 def interval_density_check(values: Iterable[int]) -> Optional[DensityViolation]:
     """Scan all intervals spanned by pairs of distinct values; report the
     first (in ascending (i, j) order) holding more than 12 + 2*sqrt(N)
@@ -261,9 +255,11 @@ def interval_density_check(values: Iterable[int]) -> Optional[DensityViolation]:
     """
     vs = sorted(set(values))
     for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
+        # An interval of 12 or fewer values never exceeds the bound.
+        for j in range(i + 12, len(vs)):
             count = j - i + 1
-            if _exceeds_density_bound(count, vs[j] - vs[i]):
+            # count > 12 + 2*sqrt(length), compared exactly by squaring
+            if (count - 12) ** 2 > 4 * (vs[j] - vs[i]):
                 return DensityViolation(lo=vs[i], hi=vs[j], count=count)
     return None
 
@@ -288,47 +284,22 @@ def _interpolate(t2: int, s2: int, t3: int, s3: int) -> tuple[int, int]:
     return a, s2 - a * t2
 
 
-def _check_limits(max_exceptions: int, max_candidates: int) -> None:
-    # A negative budget would shrink the pool below the three values the
-    # completeness argument needs; a cap must admit at least one candidate.
-    if max_exceptions < 0:
-        raise ValueError(f"max_exceptions must be >= 0, got {max_exceptions}")
-    if max_candidates < 1:
-        raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
-
-
-def quadratic_cover_search(
-    values: Iterable[int],
-    max_exceptions: int = MAX_EXCEPTIONAL_VALUES,
-    max_candidates: int = DEFAULT_CANDIDATE_CAP,
-) -> Optional[tuple[Quadratic, frozenset[int]]]:
-    """Exhaustive search for an integer quadratic covering all but at most
-    max_exceptions of the distinct values.
-
-    Returns (witness, missed values) or None when the complete candidate
-    space holds no witness.  Among witnesses the reported one minimizes
-    (number of exceptions, a, |b|, b, c), which keeps the output stable.
-    Raises InconclusiveSearch if the candidate cap is hit before any witness
-    was found; a witness found before the cap is still valid but need not
-    minimize the key, and is returned.  The cap counts candidates up to the
-    reflection q(t) -> q(-t), and only those the pruning still tries; no
-    more than max_candidates of them are ever tried.
-    Raises ValueError if max_exceptions < 0 or max_candidates < 1.
-
-    >>> q, exc = quadratic_cover_search([(i - 1) * (i - 2) for i in range(3, 13)])
-    >>> (q.a, q.b, q.c), sorted(exc)
-    ((1, -3, 2), [])
-    """
-    _check_limits(max_exceptions, max_candidates)
-    return _cover_search(sorted(set(values)), max_exceptions, max_candidates)[0]
-
-
 def _cover_search(
     vs: list[int], max_exceptions: int, max_candidates: int
 ) -> tuple[Optional[tuple[Quadratic, frozenset[int]]], bool]:
-    """The search of quadratic_cover_search over sorted distinct values vs,
-    with limits already checked.  Returns (result, complete): complete is
-    false when the cap cut the search short after a witness was found.
+    """Exhaustive search for an integer quadratic covering all but at most
+    max_exceptions of the sorted distinct values vs; the limits are checked
+    by the caller.
+
+    Returns (result, complete).  The result is (witness, missed values), or
+    None when the complete candidate space holds no witness.  Among
+    witnesses the reported one minimizes (number of exceptions, a, |b|, b,
+    c), which keeps the output stable.  Raises InconclusiveSearch if the
+    candidate cap is hit before any witness was found; a witness found
+    before the cap is still valid but need not minimize the key, and is
+    returned with complete false.  The cap counts candidates up to the
+    reflection q(t) -> q(-t), and only those the pruning still tries; no
+    more than max_candidates of them are ever tried.
     """
     if not vs:
         return (Quadratic(1, 0, 0), frozenset()), True
@@ -509,12 +480,19 @@ def sasaki_check(
     """Run the density check, then the coverage search, over the distinct
     values of the multiset.  Dropped duplicates are flagged in the report,
     and search_complete is false when the candidate cap cut the search
-    short after a witness was found.
+    short after a witness was found.  Raises ValueError if max_exceptions
+    < 0 or max_candidates < 1, and InconclusiveSearch if the cap is hit
+    before any witness was found.
 
     >>> sasaki_check([2, 6, 12]).feasible
     True
     """
-    _check_limits(max_exceptions, max_candidates)
+    # A negative budget would shrink the pool below the three values the
+    # completeness argument needs; a cap must admit at least one candidate.
+    if max_exceptions < 0:
+        raise ValueError(f"max_exceptions must be >= 0, got {max_exceptions}")
+    if max_candidates < 1:
+        raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
     values = list(values)
     if any(v < 1 for v in values):
         raise ValueError("torsion counts must be positive")

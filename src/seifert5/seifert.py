@@ -40,7 +40,6 @@ __all__ = [
     "SpecIssue",
     "SpecValidationError",
     "SpecSchemaError",
-    "base_w2",
     "chern_mu",
     "COPRIMALITY",
     "BAD_ORBIT_INVARIANT",
@@ -132,11 +131,6 @@ class SpecValidationError(ValueError):
 
 class SpecSchemaError(ValueError):
     pass
-
-
-def base_w2(charts: int) -> tuple[int, ...]:
-    """w2 of the connected sum of `charts` copies of CP^2, in chart coordinates."""
-    return (1,) * charts
 
 
 class SeifertSpec(Record):

@@ -430,14 +430,28 @@ def _bits(vec):
     return sum(1 << j for j, x in enumerate(vec) if x % 2)
 
 
+def _intersection(x, y):
+    """The intersection form of the base: the identity in chart coordinates."""
+    return sum(a * b for a, b in zip(x, y))
+
+
+def w2_reference(spec):
+    """The class over the base whose pullback is w2 of the total space when
+    every divisor is orientable: w2(X) + sum b_i [D_i] + twist, mod 2, in
+    chart coordinates.  Coordinate j of w2(X) is its pairing with the unit
+    vector e_j, which the Wu identity w2.x = x.x (mod 2) gives as e_j.e_j."""
+    units = [_unit(j, spec.charts) for j in range(spec.charts)]
+    coords = [_intersection(e, e) + h for e, h in zip(units, spec.twist)]
+    for d in spec.divisors:
+        for l, x in enumerate(units[d.chart]):
+            coords[l] += d.b * x
+    return tuple(x % 2 for x in coords)
+
+
 def _wu_reference(spec, c1_mu):
     if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
         return 1
-    coords = [1 + h for h in spec.twist]
-    for d in spec.divisors:
-        for l, x in enumerate(_unit(d.chart, spec.charts)):
-            coords[l] += d.b * x
-    w = _bits(coords)
+    w = _bits(w2_reference(spec))
     k2: list[int] = []
     _f2_add(k2, _bits(c1_mu))
     for d in spec.divisors:
@@ -700,6 +714,20 @@ def quadratic_interval_count(q: Quadratic, lo: int, hi: int) -> int:
     return count
 
 
+def interval_density_reference(values: Iterable[int]) -> Optional[tuple[int, int, int]]:
+    """(lo, hi, count) of the first pair of distinct values, in ascending
+    (i, j) order, whose closed interval holds count > 12 + 2*sqrt(hi - lo)
+    of them, tested as count > 12 and (count - 12)^2 > 4*(hi - lo) over
+    every pair; None when no interval does."""
+    vs = sorted(set(values))
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            count = j - i + 1
+            if count > 12 and (count - 12) ** 2 > 4 * (vs[j] - vs[i]):
+                return vs[i], vs[j], count
+    return None
+
+
 def divisors_by_trial_division(n: int) -> list[int]:
     out = []
     for d in range(1, math.isqrt(n) + 1):
@@ -762,7 +790,7 @@ def pruned_cover_search_reference(
     max_exceptions: int = MAX_EXCEPTIONAL_VALUES,
     max_candidates: int = DEFAULT_CANDIDATE_CAP,
 ) -> Optional[tuple[Quadratic, frozenset[int]]]:
-    """quadratic_cover_search_reference over the divisor pairs with t2 > 0,
+    """The unpruned reference over the divisor pairs with t2 > 0,
     each interpolated quadratic replaced by its reflection with b = -|b|,
     the triples cut to the reach of the best so far and the pairs to those
     whose rational slope is at least 1, in the order t3 > t2 ascending and
@@ -775,7 +803,7 @@ def pruned_cover_search_reference(
     rewritten to take the smaller at t = 0.
 
     Uncapped it returns what the unpruned reference returns; under a cap it
-    counts the candidates that quadratic_cover_search tries.
+    counts the candidates that the library's cover search tries.
     """
     return _reference_search(values, max_exceptions, max_candidates, pruned=True)
 

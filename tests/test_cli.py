@@ -144,6 +144,26 @@ class TestConstruct:
         assert code == 0 and json.loads(out)["report"]["wu"] == 0
         assert calls == {"build": 1, "gate": 1}
 
+    @pytest.mark.parametrize("argv", [
+        ["construct"], ["construct", "--verify"],
+        ["construct", "--format", "text"], ["construct", "--verify", "--format", "text"],
+    ], ids=["json", "json-verify", "text", "text-verify"])
+    def test_serializes_once(self, argv, tmp_path, monkeypatch, capsys):
+        # Each format serializes what it prints once; the text format's
+        # spec line is built only when text is printed.
+        path = write_json(tmp_path, "cls.json", HOMOLOGY_SPHERE)
+        calls = []
+        dumps = json.dumps
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        assert cli.json is json
+        monkeypatch.setattr(json, "dumps", spy)
+        code, out, _ = run_cli(capsys, *argv, path)
+        assert code == 0 and len(calls) == 1
+
     def test_free_rank_bound(self, tmp_path, monkeypatch, capsys):
         # `build` emits free_rank + 1 charts, so a larger rank is refused
         # before anything is built, on both input paths and whatever the gate

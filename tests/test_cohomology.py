@@ -9,7 +9,7 @@ import pytest
 from seifert5 import cohomology
 from seifert5.abgroup import AbelianGroup
 from seifert5.classify import INFINITY, FiveManifoldClass, circle_action_admissible
-from seifert5.cohomology import INDETERMINATE, compare, full_report, w2_class
+from seifert5.cohomology import INDETERMINATE, compare, full_report
 from seifert5.construct import build, enumerate_admissible
 from seifert5.seifert import (
     BAD_H2_CLASS,
@@ -27,6 +27,7 @@ from oracles import (
     _wu_reference,
     full_report_reference,
     restriction_map,
+    w2_reference,
 )
 
 
@@ -180,20 +181,21 @@ class TestH2H3:
 
 class TestW2:
     def test_examples(self):
-        assert w2_class(spec_of([Divisor(0, Orientable(0), 5, 1)], [0])) == (0,)
+        # Simply connected, so the report's Wu invariant reads w2: with no
+        # even chart, Wu 0 means w2 = 0.
+        assert wu_invariant(spec_of([Divisor(0, Orientable(0), 5, 1)], [0])) == 0
         spec = spec_of(
             [Divisor(0, Orientable(0), 2, 1), Divisor(0, Orientable(2), 5, 3)], [-1]
         )
-        assert w2_class(spec) == (0,)
-        assert w2_class(spec_of([], [1])) == (0,)
+        assert wu_invariant(spec) == 0
+        assert w2_reference(spec) == (0,)
+        assert wu_invariant(spec_of([], [1])) == 0
 
     def test_odd_twist_flips(self):
-        assert w2_class(spec_of([], [0])) == (1,)
-
-    def test_nonorientable_rejected(self):
-        spec = spec_of([Divisor(0, Nonorientable(1), 2, 1)], [0])
-        with pytest.raises(ValueError, match="forces Wu invariant 1"):
-            w2_class(spec)
+        # |H_1| = 0 here (S^1 x CP^2), so only the reference reads w2.
+        spec = spec_of([], [0])
+        assert h1_order(spec) == 0
+        assert w2_reference(spec) == (1,)
 
 
 def coset_membership_oracle(w, basis_vectors, charts):
@@ -227,7 +229,7 @@ class TestWu:
             ),
             twist=(0, -1),
         )
-        assert w2_class(spec) == (1, 1)
+        assert w2_reference(spec) == (1, 1)
         assert wu_invariant(spec) is INFINITY
 
     def test_certificates_rechecked_independently(self):
@@ -258,7 +260,7 @@ class TestWu:
             result = report.wu
             unit = [tuple(int(l == j) for l in range(charts)) for j in range(charts)]
             k2_vectors = [chern_mu(spec)] + [unit[d.chart] for d in divisors if d.m % 2 == 0]
-            w = w2_class(spec)
+            w = w2_reference(spec)
             in_k2 = coset_membership_oracle(w, k2_vectors, charts)
             assert result == (0 if in_k2 else INFINITY)
             zeros += in_k2
@@ -318,14 +320,13 @@ class TestSimplyConnected:
         assert simply_connected(spec_of([], [1]))
 
 
-# Each id names an invariant; all but w2_class and chern_mu are report fields.
+# Each id names an invariant; all but chern_mu are report fields.
 @pytest.mark.parametrize(
     "invariant",
     [
         pytest.param(_report_field("h1_order"), id="h1_order"),
         pytest.param(_report_field("h2"), id="h2_group"),
         pytest.param(_report_field("h3_tors"), id="h3_torsion"),
-        pytest.param(w2_class, id="w2_class"),
         pytest.param(_report_field("wu"), id="wu_invariant"),
         pytest.param(full_report, id="full_report"),
         pytest.param(_report_field("c1"), id="chern_class"),

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -133,3 +134,29 @@ def test_import_loads(module, least, most):
     loaded = {name.removeprefix("seifert5.") for name in done.stdout.split()
               if name.startswith("seifert5.")}
     assert least <= loaded <= most
+
+
+# The library entry points that ROADMAP.md names; nothing in src/ calls them.
+ENTRY_POINTS = {"construct.verify_roundtrip", "construct.enumerate_admissible",
+                "sasakian.sasaki_check"}
+
+
+def test_every_public_function_has_a_caller():
+    # A public function that src/ never reads, and that is no entry point,
+    # is code only tests call: it belongs under tests/.
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(f"seifert5.{name}")
+        for attr in getattr(module, "__all__", []):
+            value = getattr(module, attr)
+            if (inspect.isfunction(value) and value.__module__ == module.__name__
+                    and attr not in used and f"{name}.{attr}" not in ENTRY_POINTS):
+                unused.append(f"{name}.{attr}")
+    assert unused == [], f"public functions with no caller in src/: {unused}"

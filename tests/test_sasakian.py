@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from seifert5 import sasakian
 from seifert5.sasakian import (
+    DEFAULT_CANDIDATE_CAP,
     DensityViolation,
     InconclusiveSearch,
     Quadratic,
     interval_density_check,
-    quadratic_cover_search,
     sasaki_check,
 )
 
@@ -19,11 +19,18 @@ from oracles import (
     from_lowest,
     adjunction_genus,
     divisors_by_trial_division,
+    interval_density_reference,
     pruned_cover_search_reference,
     quadratic_cover_search_reference,
     quadratic_interval_count,
     value_at,
 )
+
+
+def cover_search(values, max_exceptions=10, max_candidates=DEFAULT_CANDIDATE_CAP):
+    """The cover search `sasaki_check` runs, without its density check:
+    (witness, missed values) or None, as the references return it."""
+    return sasakian._cover_search(sorted(set(values)), max_exceptions, max_candidates)[0]
 
 
 def degree_family(n):
@@ -115,6 +122,27 @@ class TestDensity:
         v = interval_density_check(values)
         assert v is not None
 
+    def test_reports_the_reference_interval(self):
+        # The first violating interval in (i, j) order, against every pair
+        # tested by the reference: sparse values around one dense cluster,
+        # 0-60 values over spans of 10 to 10^4.
+        rng = random.Random(137)
+        outcomes = set()
+        for _ in range(2000):
+            span = int(10 ** rng.uniform(1, 4))
+            width = rng.randint(1, span)
+            start = rng.randint(0, span - width)
+            n = rng.randint(0, 60)
+            cluster = rng.randint(0, n)
+            values = [start + rng.randint(0, width) for _ in range(cluster)]
+            values += [rng.randint(0, span) for _ in range(n - cluster)]
+            got = interval_density_check(values)
+            want = interval_density_reference(values)
+            assert (None if got is None else (got.lo, got.hi, got.count)) == want, values
+            outcomes.add("none" if want is None else
+                         "at the least value" if want[0] == min(values) else "above it")
+        assert outcomes == {"none", "at the least value", "above it"}
+
 
 class TestIntervalCount:
     def test_examples(self):
@@ -134,37 +162,37 @@ class TestIntervalCount:
 
 class TestCoverSearch:
     def test_degree_family_witness(self):
-        q, exceptions = quadratic_cover_search(degree_family(12))
+        q, exceptions = cover_search(degree_family(12))
         assert (q.a, q.b, q.c) == (1, -3, 2)
         assert exceptions == frozenset()
 
     def test_degree_family_all_n(self):
         for n in range(3, 21):
-            q, exceptions = quadratic_cover_search(degree_family(n))
+            q, exceptions = cover_search(degree_family(n))
             assert exceptions == frozenset()
             assert all(q.contains(v) for v in degree_family(n))
 
     def test_staircase_infeasible(self):
-        assert quadratic_cover_search(range(2, 61, 2)) is None
+        assert cover_search(range(2, 61, 2)) is None
 
     def test_single_value(self):
-        q, exceptions = quadratic_cover_search([7])
+        q, exceptions = cover_search([7])
         assert exceptions == frozenset()
         assert q.contains(7)
 
     def test_empty(self):
-        q, exceptions = quadratic_cover_search([])
+        q, exceptions = cover_search([])
         assert exceptions == frozenset()
 
     def test_budget_guard(self):
         with pytest.raises(InconclusiveSearch):
-            quadratic_cover_search(range(2, 61, 2), max_candidates=10)
+            cover_search(range(2, 61, 2), max_candidates=10)
 
     def test_witness_found_before_cap_is_kept(self):
         # plenty of candidates, but a perfect witness appears early; the
         # complete search tries 40 candidates, and t^2 - 3t + 2 (the 37th)
         # is found before cap 39 stops it
-        q, exceptions = quadratic_cover_search(degree_family(10), max_candidates=39)
+        q, exceptions = cover_search(degree_family(10), max_candidates=39)
         assert all(q.contains(v) for v in degree_family(10))
         # the report keeps the witness but does not claim exhaustion
         report = sasaki_check(degree_family(10), max_candidates=39)
@@ -182,11 +210,11 @@ class TestCoverSearch:
             887707639, 942737566, 944598045, 993457458,
         ]
         with pytest.raises(InconclusiveSearch) as exc:
-            quadratic_cover_search(values, max_exceptions=10, max_candidates=50)
+            cover_search(values, max_exceptions=10, max_candidates=50)
         assert exc.value.candidates_tried == 50
         for cap in (1, 13, 90, 91, 92, 500):
             try:
-                quadratic_cover_search(values, max_exceptions=10, max_candidates=cap)
+                cover_search(values, max_exceptions=10, max_candidates=cap)
             except InconclusiveSearch as err:
                 assert err.candidates_tried == cap
 
@@ -201,15 +229,13 @@ class TestCoverSearch:
         # complete "no" for 1, 4, 11, 22, which 2t^2 - t + 1 covers
         for values in ([1, 4, 11, 22], [], range(2, 61, 2)):
             with pytest.raises(ValueError):
-                quadratic_cover_search(values, **limits)
-            with pytest.raises(ValueError):
                 sasaki_check(values, **limits)
-        assert quadratic_cover_search([1, 4, 11, 22], max_exceptions=0)[0] == Quadratic(2, -1, 1)
+        assert sasaki_check([1, 4, 11, 22], max_exceptions=0).witness == Quadratic(2, -1, 1)
 
     def test_exceptions_counted(self):
         # squares plus two alien values
         values = [t * t for t in range(1, 8)] + [3, 7]
-        q, exceptions = quadratic_cover_search(values, max_exceptions=2)
+        q, exceptions = cover_search(values, max_exceptions=2)
         assert len(exceptions) <= 2
 
     def test_divisors_computed_once_per_difference(self, monkeypatch):
@@ -222,7 +248,7 @@ class TestCoverSearch:
 
         monkeypatch.setattr(sasakian, "_divisors", spy)
         # 13 values fill the pool, so every difference recurs across i2
-        quadratic_cover_search([2, 3, 5, 11, 17, 29, 41, 59, 71, 97, 101, 131, 151])
+        cover_search([2, 3, 5, 11, 17, 29, 41, 59, 71, 97, 101, 131, 151])
         assert calls
         assert len(calls) == len(set(calls))
 
@@ -246,7 +272,7 @@ class TestCoverSearch:
         monkeypatch.setattr(sasakian, "_missed", spy_missed)
         for values in (degree_family(12), [1, 4, 11, 22, 37], [2, 3, 5, 9, 14, 30, 31]):
             for budget in (0, 2):
-                quadratic_cover_search(values, max_exceptions=budget)
+                cover_search(values, max_exceptions=budget)
         assert all(t2 > 0 for t2, _ in interpolated)
         assert any(ab[1] > 0 for _, ab in interpolated)
         assert all(b <= 0 and budget >= 0 for b, budget in scored)
@@ -314,7 +340,7 @@ class TestCoverSearch:
             for budget in (2, 5, 10):
                 index = distinct_differences(values[: budget + 5])
                 events.clear()
-                quadratic_cover_search(values, max_exceptions=budget)
+                cover_search(values, max_exceptions=budget)
                 e = budget
                 levels = None
                 for event in events:
@@ -379,7 +405,7 @@ class TestCoverSearch:
                 pairs = [(i, j) for i in range(len(pool)) for j in range(i + 1, len(pool))]
                 index = distinct_differences(values[: budget + 5])
                 events.clear()
-                quadratic_cover_search(values, max_exceptions=budget)
+                cover_search(values, max_exceptions=budget)
                 queue = events[::-1]
 
                 def next_scan():
@@ -462,7 +488,7 @@ class TestCoverSearch:
                 for cutoff in range(-1, budget + 1):
                     monkeypatch.setattr(sasakian, "_UPPER_SLACK", cutoff)
                     shifts.clear()
-                    got = quadratic_cover_search(values, max_exceptions=budget)
+                    got = cover_search(values, max_exceptions=budget)
                     assert got == want, (values, budget, cutoff)
                     built[cutoff] = built.get(cutoff, 0) + len(shifts)
         assert built[-1] == 0
@@ -498,7 +524,7 @@ class TestCoverSearch:
                 index = distinct_differences(values[: budget + 5])
                 events.clear()
                 family_bests.clear()
-                quadratic_cover_search(values, max_exceptions=budget)
+                cover_search(values, max_exceptions=budget)
                 levels = upper_levels(values, family_bests[-1] if family_bests else budget)
                 triples = [(*index[w2], index[w3][1], t2, t3) for w2, w3, t2, t3 in events]
                 assert all(index[w2][0] == index[w3][0] for w2, w3, _, _ in events)
@@ -569,10 +595,10 @@ class TestCoverSearch:
         midway = []
         for values in value_sets:
             for budget in (0, 2, 10):
-                complete = outcome(quadratic_cover_search, values, budget, None)
+                complete = outcome(cover_search, values, budget, None)
                 assert complete == outcome(quadratic_cover_search_reference, values, budget, None)
                 for cap in (1, 7, 50, 300, 1000):
-                    got = outcome(quadratic_cover_search, values, budget, cap)
+                    got = outcome(cover_search, values, budget, cap)
                     want = outcome(pruned_cover_search_reference, values, budget, cap)
                     assert got == want, (values, budget, cap)
                     if values[-1] > 10**6 and cap >= 50 and got != complete:
@@ -588,7 +614,7 @@ class TestCoverSearch:
         for _ in range(15):
             values = sorted(rng.sample(range(1, 30), k=rng.randint(3, 5)))
             budget = rng.randint(0, 2)
-            result = quadratic_cover_search(values, max_exceptions=budget)
+            result = cover_search(values, max_exceptions=budget)
             brute = None
             for a in range(1, 30):
                 for b in range(-30, 31):

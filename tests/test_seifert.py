@@ -23,7 +23,6 @@ from seifert5.seifert import (
     SeifertSpec,
     SpecSchemaError,
     SpecValidationError,
-    base_w2,
     chern_mu,
 )
 
@@ -367,14 +366,12 @@ class TestJson:
 
 
 class TestBase:
-    def test_w2_all_ones(self):
-        assert base_w2(3) == (1, 1, 1)
-
     def test_w2_by_wu_identity(self):
         # On a closed oriented 4-manifold, x.x = w2.x mod 2; with the
-        # identity form this forces w2 = (1, ..., 1).  Check by brute force.
+        # identity form this forces w2 = (1, ..., 1), the vector the Wu
+        # invariant starts from.  Check by brute force.
         for charts in range(1, 5):
-            w2 = base_w2(charts)
+            w2 = (1,) * charts
             for x in range(2**charts):
                 vec = [(x >> j) & 1 for j in range(charts)]
                 self_int = sum(v * v for v in vec) % 2
