@@ -23,7 +23,7 @@ from .classify import (
     smale_barden_realizable,
     validate_i,
 )
-from .cohomology import Indeterminate, compare, full_report
+from .cohomology import compare, full_report
 from .construct import GateRejection, _checked_report, build, enumerate_admissible
 from .orbit_local import StabilizerRep, local_invariants
 from .sasakian import (
@@ -135,7 +135,7 @@ def _report_text(report) -> str:
     lines.append(f"H3 torsion = {h3}" if h3 is not None else "H3 torsion = (undetermined)")
     lines.append("c1 = (" + ", ".join(str(c) for c in report.c1) + ")")
     lines.append("c1(L/mu) = " + str(list(report.c1_mu)))
-    wu = "indeterminate" if isinstance(report.wu, Indeterminate) else str(encode_i(report.wu))
+    wu = "indeterminate" if report.wu is None else str(encode_i(report.wu))
     lines.append(f"wu = {wu}")
     lines.append(f"simply connected: {report.simply_connected}")
     return "\n".join(lines)

@@ -68,31 +68,11 @@ from .classify import INFINITY, FiveManifoldClass, encode_i
 from .seifert import Nonorientable, SeifertSpec, chern_mu
 
 __all__ = [
-    "INDETERMINATE",
-    "Indeterminate",
     "CohomologyReport",
     "full_report",
     "Diff",
     "compare",
 ]
-
-
-class Indeterminate:
-    """Fourth answer for the Wu invariant, reported when |H_1| != 1: the
-    engine certifies the Wu invariant of simply connected total spaces only."""
-
-    _instance = None
-
-    def __new__(cls) -> "Indeterminate":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INDETERMINATE"
-
-
-INDETERMINATE = Indeterminate()
 
 
 # No caller: bench/spans.py binds this name for its traced run, so it stays
@@ -143,8 +123,9 @@ def _wu(spec: SeifertSpec):
 
 
 def _json_value(value):
-    """Wire encoding of a report field: an H_1 order, a group or a Wu value."""
-    if isinstance(value, Indeterminate):
+    """Wire encoding of a report field: an H_1 order, a group or a Wu value,
+    None where |H_1| != 1 leaves it undetermined."""
+    if value is None:
         return "indeterminate"
     if isinstance(value, AbelianGroup):
         return value.to_json_dict()
@@ -195,8 +176,8 @@ class CohomologyReport(Record):
 def full_report(spec: SeifertSpec) -> CohomologyReport:
     """Compose the whole engine over one presentation.
 
-    H_2 and the H^3 torsion are present exactly when |H_1| = 1; otherwise
-    the Wu invariant is reported INDETERMINATE.  The total space is simply
+    H_2, the H^3 torsion and the Wu invariant are determined exactly when
+    |H_1| = 1, and are None otherwise.  The total space is simply
     connected exactly when |H_1| = 1: every divisor is the generator of its
     chart, and those standard transverse arrangements have complements with
     abelian fundamental group, so pi_1 vanishes exactly when H_1 does.
@@ -205,8 +186,7 @@ def full_report(spec: SeifertSpec) -> CohomologyReport:
     order = math.gcd(*c1_mu)
     m_x = spec.multiplicity_lcm()
     c1 = tuple(Fraction(x, m_x) for x in c1_mu)
-    h2 = None
-    wu = INDETERMINATE
+    h2 = wu = None
     if order == 1:
         h2 = AbelianGroup.from_counts(spec.charts - 1, _torsion_counts(spec))
         wu = _wu(spec)

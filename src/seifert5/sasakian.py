@@ -99,9 +99,8 @@ the one- and two-point families; the loops from below stop under them,
 and they are built last, so a witness found below can put them out of
 reach.  Since e only falls, slack only shrinks, so a window read with
 the current e still holds every witness that can win; it ends at index
-e + 4, which needs at least e + 5 values.  With fewer, or when the values
-span 3.3 * 10^24 or more (where a difference above the pool might be one
-the factorizer refuses, see `factorize`), no level is built from above.
+e + 4, which needs at least e + 5 values.  With fewer, no level is built
+from above.
 
 Every search, whatever its size, first scores the one- and two-point
 families q = t^2 + v1 and q = (v2 - v1)*t^2 + v1 over the budget + 3
@@ -299,10 +298,15 @@ def _cover_search(
     before the cap is still valid but need not minimize the key, and is
     returned with complete false.  The cap counts candidates up to the
     reflection q(t) -> q(-t), and only those the pruning still tries; no
-    more than max_candidates of them are ever tried.
+    more than max_candidates of them are ever tried.  Raises ValueError,
+    before any candidate, when the values span 3.3 * 10^24 or more: every
+    difference the search factors is at most the span, and below that
+    bound the factorizer decides each one exactly (`factorize`).
     """
     if not vs:
         return (Quadratic(1, 0, 0), frozenset()), True
+    if vs[-1] - vs[0] >= _MR_LIMIT:
+        raise ValueError(f"torsion counts must span less than {_MR_LIMIT:,}")
 
     # Scan from the largest value down: bad candidates run out of budget fast.
     scan = vs[::-1]
@@ -312,22 +316,21 @@ def _cover_search(
     best: Optional[tuple[tuple[int, int, int, int], list[int]]] = None
     most = max_exceptions
     seen: set[tuple[int, int, int]] = set()
-    tried = 0
 
     def consider(a: int, b: int, c: int, above: Optional[list[int]] = None, below: int = 0) -> None:
         # A triple candidate comes with `above`, the values above its v3 in
         # scan order, and below = i3 - 2, the other values under v3 it must
         # miss to win (module docstring); the one- and two-point families
         # come with neither and get the full scan alone.
-        nonlocal best, most, tried
+        nonlocal best, most
         key3 = (a, b, c)
         if key3 in seen:
             return
-        # The one place the cap is checked: a candidate past it is never tried.
-        if tried == max_candidates:
-            raise InconclusiveSearch(tried)
+        # The one place the cap is checked: `seen` holds every candidate
+        # tried, and a candidate past the cap is never tried.
+        if len(seen) == max_candidates:
+            raise InconclusiveSearch(max_candidates)
         seen.add(key3)
-        tried += 1
         tail = (a, abs(b), b, c)
         # To win, a candidate must miss no more values than the best so
         # far, and strictly fewer when it ranks after it on the tail.
@@ -382,10 +385,9 @@ def _cover_search(
 
         # The levels i3 with slack most - (i3 - 2) at most _UPPER_SLACK,
         # fixed here, are built last, from the values above v3 up to index
-        # most + 4 (module docstring); values spanning the factorizer's
-        # bound build none, so such a search factors what it did before.
+        # most + 4 (module docstring).
         upper = range(0)
-        if len(vs) >= most + 5 and vs[-1] - vs[0] < _MR_LIMIT:
+        if len(vs) >= most + 5:
             upper = range(max(2, most + 2 - _UPPER_SLACK), most + 3)
 
         # A witness that beats the best has v1, v2, v3 at indices at most
@@ -481,8 +483,10 @@ def sasaki_check(
     values of the multiset.  Dropped duplicates are flagged in the report,
     and search_complete is false when the candidate cap cut the search
     short after a witness was found.  Raises ValueError if max_exceptions
-    < 0 or max_candidates < 1, and InconclusiveSearch if the cap is hit
-    before any witness was found.
+    < 0 or max_candidates < 1, or if the density check passes and the
+    distinct values span 3,317,044,064,679,887,385,961,981 or more, past
+    which the search could meet a difference the factorizer refuses; and
+    InconclusiveSearch if the cap is hit before any witness was found.
 
     >>> sasaki_check([2, 6, 12]).feasible
     True

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from seifert5 import sasakian
-from seifert5.abgroup import _MR_LIMIT, AbelianGroup, factorize
+from seifert5.abgroup import AbelianGroup, factorize
 from seifert5.classify import (
     INFINITY,
     INVALID_I,
@@ -21,7 +21,7 @@ from seifert5.classify import (
     GateVerdict,
     Infinity,
 )
-from seifert5.cohomology import INDETERMINATE, CohomologyReport
+from seifert5.cohomology import CohomologyReport
 from seifert5.construct import _torsion_profiles, build
 from seifert5.orbit_local import LocalInvariants, StabilizerRep
 from seifert5.sasakian import (
@@ -448,6 +448,17 @@ def w2_reference(spec):
     return tuple(x % 2 for x in coords)
 
 
+class _Uncertified:
+    def __repr__(self) -> str:
+        return "UNCERTIFIED"
+
+
+# The reference's Wu answer when w lies outside the span of K2 and the unit
+# vectors of the charts that are not even, so neither certificate applies;
+# Lemma B (`cohomology` docstring) rules it out on specs.
+UNCERTIFIED = _Uncertified()
+
+
 def _wu_reference(spec, c1_mu):
     if any(isinstance(d.surface, Nonorientable) for d in spec.divisors):
         return 1
@@ -464,7 +475,7 @@ def _wu_reference(spec, c1_mu):
     for j in range(spec.charts):
         if j not in even_charts:
             _f2_add(witness, 1 << j)
-    return INFINITY if _f2_reduce(witness, w) == 0 else INDETERMINATE
+    return INFINITY if _f2_reduce(witness, w) == 0 else UNCERTIFIED
 
 
 def full_report_reference(spec) -> CohomologyReport:
@@ -478,7 +489,7 @@ def full_report_reference(spec) -> CohomologyReport:
     assert all((c * m_x).denominator == 1 for c in c1)
     order = _h1_order_reference(*restriction_map(spec), c1_mu)
     if order != 1:
-        return CohomologyReport(order, None, c1, c1_mu, INDETERMINATE)
+        return CohomologyReport(order, None, c1, c1_mu, None)
 
     counts: dict[tuple[int, int], int] = {}
     for d in spec.divisors:
@@ -888,7 +899,7 @@ def _reference_search(
                 consider(Quadratic(pool[i2] - pool[i1], 0, pool[i1]))
 
         levels = range(0)
-        if pruned and len(vs) >= reach(5) and vs[-1] - vs[0] < _MR_LIMIT:
+        if pruned and len(vs) >= reach(5):
             levels = range(max(2, reach(2) - sasakian._UPPER_SLACK), reach(3))
         lower = pool[: levels.start] if levels else pool
         for i1 in range(len(lower)):

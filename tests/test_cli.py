@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seifert5 import abgroup, cli, construct
 from seifert5.abgroup import AbelianGroup
@@ -427,6 +432,16 @@ class TestSasaki:
         assert_input_error(code, out, err)
         assert err == "error: torsion counts must be positive\n"
 
+    def test_values_spanning_the_primality_bound(self, capsys):
+        # exit 1 used to answer here, and exit 2 at --max-exceptions 2 named
+        # x - 5, a difference of values, rather than the values' span
+        x = 4 * 10**24 + 98
+        code, out, err = run_cli(capsys, "sasaki", "--values", f"1,2,5,{x},{x + 1000}",
+                                 "--max-exceptions", "0")
+        assert_input_error(code, out, err)
+        assert err == ("error: torsion counts must span less than "
+                       "3,317,044,064,679,887,385,961,981\n")
+
 
 class TestEnumerate:
     def test_stream_deterministic(self, capsys):
@@ -834,3 +849,135 @@ class TestVerifyExpectUndecided:
         code, out, _ = run_cli(capsys, "verify", "--expect", cls_path, spec_path)
         assert code == 1
         assert json.loads(out)["diffs"] == [{"field": "h1_order", "expected": 1, "actual": 6}]
+
+    def test_text_report_names_the_undetermined_fields(self, tmp_path, capsys):
+        spec_path = write_json(tmp_path, "spec.json", dict(GENUS_TWO_SPEC, twist=[1]))
+        code, out, _ = run_cli(capsys, "verify", "--format", "text", spec_path)
+        assert code == 0
+        assert out == ("|H1| = 6\nH2 = (undetermined)\nH3 torsion = (undetermined)\n"
+                       "c1 = (6/5)\nc1(L/mu) = [6]\nwu = indeterminate\nsimply connected: False\n")
+
+
+# -- fuzzing the decoders and subcommands in process --------------------------
+
+# A field value swapped for one of the wrong type, or for an integer past
+# the factoring bound.
+WRONG = st.one_of(st.booleans(), st.none(), st.floats(), st.text(max_size=3),
+                  st.lists(st.integers(0, 3), max_size=2), st.sampled_from([10**25, 2**90]))
+
+
+def near(values, wrong=WRONG):
+    """A valid value nine times in ten, else a wrong one."""
+    return st.sampled_from([values] * 9 + [wrong]).flatmap(lambda chosen: chosen)
+
+
+# Counts of 10^25 next to small ones span the factoring bound, so the
+# `sasaki` cover search refuses them.
+CLASS_DOCS = st.fixed_dictionaries({
+    "free_rank": near(st.sampled_from([0, 0, 1, 2, 3])),
+    "torsion": near(st.lists(near(st.fixed_dictionaries({
+        "p": near(st.sampled_from([2, 3, 5, 7, 4])),
+        "e": near(st.sampled_from([1, 2, 3, 0])),
+        "count": near(st.sampled_from([1, 2, 3, 4, 6, 0, 10**25, 4 * 10**24 + 98])),
+    })), max_size=4)),
+    "i": near(st.sampled_from([0, 1, 2, "inf", -1])),
+})
+
+
+def _spec_docs(charts):
+    divisor = st.fixed_dictionaries({
+        "chart": near(st.sampled_from(range(max(charts, 1)))),
+        "surface": near(st.one_of(
+            st.fixed_dictionaries({"orientable": near(st.just(True)),
+                                   "genus": near(st.sampled_from([0, 1, 2]))}),
+            st.fixed_dictionaries({"orientable": near(st.just(False)),
+                                   "b1": near(st.sampled_from([1, 2, 0]))}),
+        )),
+        "m": near(st.sampled_from([2, 3, 4, 5, 7, 9, 25, 1])),
+        "b": near(st.sampled_from([1, 2, 3, 4, 0, -1])),
+    })
+    return st.fixed_dictionaries({
+        "charts": near(st.just(charts)),
+        "divisors": near(st.lists(near(divisor), max_size=3)),
+        "twist": near(st.lists(near(st.integers(-2, 2)), min_size=charts, max_size=charts)),
+    })
+
+
+SPEC_DOCS = st.sampled_from([1, 1, 2, 3, 0]).flatmap(_spec_docs)
+# Text for integer arguments: small decimals and near-misses.  Nothing here
+# decodes to a large number, which `enumerate` would take as its cap.
+WRONG_TEXT = st.one_of(
+    st.sampled_from(["", "+5", "1_0", " 2", "\u0663", "0x10", "2.0", "007", "-0"]),
+    st.text(alphabet="x-_+ ,.\n", max_size=3),
+)
+NUMBERISH = near(st.integers(-1, 40).map(str), WRONG_TEXT)
+SASAKI_VALUES = st.lists(
+    near(st.integers(1, 60).map(str) | st.sampled_from([str(10**25), str(4 * 10**24 + 98)]),
+         WRONG_TEXT),
+    min_size=1, max_size=8,
+).map(",".join)
+STRING_ARGVS = st.one_of(
+    st.tuples(st.sampled_from(["9" * 30, "0" * 30 + "7"]) | NUMBERISH,
+              st.lists(NUMBERISH, min_size=1, max_size=3).map(",".join)).map(
+        lambda t: ["local", f"--m={t[0]}", f"--exponents={t[1]}"]),
+    st.tuples(SASAKI_VALUES, st.sampled_from(["0", "2", "10", "-1", "x"]),
+              st.sampled_from(["7", "2000000", "1", "0"])).map(
+        lambda t: ["sasaki", f"--values={t[0]}", f"--max-exceptions={t[1]}",
+                   f"--max-candidates={t[2]}"]),
+    st.tuples(NUMBERISH, st.sampled_from(["0", "1", "2", "-1", "x", ""])).map(
+        lambda t: ["enumerate", f"--max-torsion-order={t[0]}", f"--max-k={t[1]}"]),
+)
+FUZZ = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def run_in_process(argv, stdin=""):
+    """`main(argv)` with `stdin` as standard input: (exit code, stdout, stderr).
+    Hypothesis refuses function-scoped fixtures such as capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    real_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = real_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_answered_or_refused(code, out, err):
+    """Every input gets a verdict, or exactly one `error:` line and no output."""
+    assert code in (0, 1, 2, 3)
+    assert "internal defect" not in err and "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestFuzz:
+    """Near-valid documents and argument text, in process through `main`:
+    each is answered or refused with one `error:` line, never a defect."""
+
+    @FUZZ
+    @example(document={"free_rank": 0, "i": 0, "torsion": [{"p": 2, "e": 1, "count": 1},
+                                                           {"p": 3, "e": 1, "count": 10**25}]},
+             command=["sasaki"])
+    @given(document=CLASS_DOCS, command=st.sampled_from([
+        ["classify"], ["gate"], ["construct"], ["construct", "--target-i", "inf"],
+        ["construct", "--target-i", "1"], ["construct", "--verify"],
+        ["construct", "--target-i", "0", "--verify"], ["sasaki"],
+    ]))
+    def test_class_documents(self, document, command):
+        assert_answered_or_refused(*run_in_process(command, json.dumps(document)))
+
+    @FUZZ
+    @given(spec=SPEC_DOCS, expect=st.none() | CLASS_DOCS)
+    def test_spec_documents(self, spec, expect):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["verify"]
+            if expect is not None:
+                argv += ["--expect", write_json(pathlib.Path(tmp), "class.json", expect)]
+            assert_answered_or_refused(*run_in_process(argv, json.dumps(spec)))
+
+    @FUZZ
+    @given(argv=STRING_ARGVS)
+    def test_string_arguments(self, argv):
+        assert_answered_or_refused(*run_in_process(argv))

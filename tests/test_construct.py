@@ -13,7 +13,7 @@ from seifert5.classify import (
     smale_barden_realizable,
 )
 from seifert5 import construct
-from seifert5.cohomology import INDETERMINATE, CohomologyReport, full_report
+from seifert5.cohomology import CohomologyReport, full_report
 from seifert5.construct import (
     ConstructionDefect,
     GateRejection,
@@ -246,14 +246,14 @@ class TestRoundTrip:
         "changes, message",
         [
             (
-                {"h1_order": 3, "h2": None, "wu": INDETERMINATE},
+                {"h1_order": 3, "h2": None, "wu": None},
                 "h1_order = 3, expected 1",
             ),
             (
                 {"h2": AbelianGroup.from_counts(0, {(5, 1): 2}), "wu": INFINITY},
                 "h2 = (Z/5)^2, expected (Z/5)^4; wu = INFINITY, expected 0",
             ),
-            ({"wu": INDETERMINATE}, "wu = INDETERMINATE, expected 0"),
+            ({"wu": None}, "wu = None, expected 0"),
         ],
     )
     def test_defect_messages(self, monkeypatch, changes, message):

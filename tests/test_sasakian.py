@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -55,8 +57,7 @@ def distinct_differences(values):
 
 def upper_levels(values, most):
     """The levels the cover search builds from above, given the exceptions
-    of the best after the one- and two-point families (values below
-    3.3 * 10^24)."""
+    of the best after the one- and two-point families."""
     if len(values) < most + 5:
         return range(0)
     return range(max(2, most + 2 - sasakian._UPPER_SLACK), most + 3)
@@ -538,23 +539,45 @@ class TestCoverSearch:
                 built += len({t[0] for t in upper})
         assert built
 
-    def test_values_spanning_the_primality_bound_answer_as_before(self):
-        # At budget 0 an upper level would factor x - 5, a difference above
-        # the pool whose cofactor the factorizer refuses.  Values spanning
-        # 3.3 * 10^24 or more build no level from above, so the search
-        # factors what it did before: a complete no at budget 0, and a
-        # refusal at budget 2, whose pool holds x.
+    def test_values_spanning_the_primality_bound_are_refused(self, monkeypatch):
+        # x - 5 is a difference the search would factor, and the factorizer
+        # refuses it.  The search used to answer a complete no at budget 0
+        # and raise on x - 5 at budget 2; it now refuses the span at every
+        # budget and cap, before any candidate.
         x = 4 * 10**24 + 98
         with pytest.raises(ValueError):
             sasakian.factorize(x - 5)
-        values = [1, 2, 5, x, x + 1000]
-        report = sasaki_check(values, max_exceptions=0)
-        assert report.to_json_dict() == {
-            "feasible": False, "witness": None, "exceptions": None,
-            "densest_violation": None, "duplicates_dropped": False, "search_complete": True,
-        }
-        with pytest.raises(ValueError, match="only decided below 3,317,044,064,679,887,385,961,981"):
-            sasaki_check(values, max_exceptions=2)
+        factored, divisors = [], sasakian._divisors
+        monkeypatch.setattr(sasakian, "_divisors", lambda n: factored.append(n) or divisors(n))
+        for budget in (0, 2, 10):
+            for cap in (1, DEFAULT_CANDIDATE_CAP):
+                with pytest.raises(ValueError) as info:
+                    sasaki_check([1, 2, 5, x, x + 1000], max_exceptions=budget,
+                                 max_candidates=cap)
+                assert str(info.value) == (
+                    "torsion counts must span less than 3,317,044,064,679,887,385,961,981")
+        assert factored == []
+        # A span just below the bound, a density violation and clustered
+        # huge values answer as they did before the span check.
+        bound = 3_317_044_064_679_887_385_961_981
+        no = {"feasible": False, "witness": None, "exceptions": None,
+              "densest_violation": None, "duplicates_dropped": False, "search_complete": True}
+        squares = dict(no, feasible=True, witness={"a": 1, "b": 0, "c": 1},
+                       exceptions=[bound - 1000, bound - 1])
+        dense = dict(no, search_complete=False, densest_violation={
+            "lo": 1, "hi": 21, "count": 21, "bound": 20.94427190999916})
+        clustered = dict(no, feasible=True, witness={"a": 7, "b": 0, "c": 10**30}, exceptions=[])
+        for values, documents in [
+            ([1, 2, 5, bound - 1000, bound - 1], [no, squares, squares]),
+            (list(range(1, 31)) + [10**30], [dense] * 3),
+            ([10**30, 10**30 + 7], [clustered] * 3),
+        ]:
+            for budget, document in zip((0, 2, 10), documents):
+                assert sasaki_check(values, max_exceptions=budget).to_json_dict() == document
+        # The bound itself is the first span refused.
+        assert sasaki_check([1, bound]).feasible
+        with pytest.raises(ValueError, match="must span less than"):
+            sasaki_check([1, bound + 1])
 
     def test_divisors_match_brute_force(self):
         rng = random.Random(101)
@@ -634,6 +657,27 @@ class TestCoverSearch:
                 q, exceptions = result
                 assert len(exceptions) <= budget
                 assert all(q.contains(v) for v in values if v not in exceptions)
+
+    def test_output_digest(self):
+        # sha256 of the report JSON, or the inconclusive count, over 40
+        # seeded sets at three budgets and three caps, pinned so that a
+        # change to any witness, exception set, completeness flag or
+        # candidate count shows here.
+        rng = random.Random(28)
+        value_sets = [sorted(rng.sample(range(1, 10**9), rng.randint(6, 16))) for _ in range(20)]
+        value_sets += [planted_above_aliens(rng, rng.randint(0, 5)) for _ in range(20)]
+        digest = hashlib.sha256()
+        for values in value_sets:
+            for budget in (0, 2, 10):
+                for cap in (7, 300, DEFAULT_CANDIDATE_CAP):
+                    try:
+                        doc = sasaki_check(values, max_exceptions=budget,
+                                           max_candidates=cap).to_json_dict()
+                    except InconclusiveSearch as exc:
+                        doc = {"inconclusive": exc.candidates_tried}
+                    digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "8be63a7353a73095a5f3320ac8841b00a5c5fb316fb6e20f04ba97b16c80f667")
 
 
 class TestAdjunction:
